@@ -298,13 +298,14 @@ def parse_config(path: Optional[str] = None,
                 raise ConfigError(
                     f"invalid value for 'c' ({wheres['c']}): expected a "
                     f"positive number or ln_T, got {c_raw!r}") from None
-            if not c_value > 0:
-                raise ConfigError(f"'c' must be positive ({wheres['c']})")
+            if not 0 < c_value < math.inf:
+                raise ConfigError(f"'c' must be positive and finite ({wheres['c']})")
         policy_params = {"epsilon": epsilon, "c": c_value}
     elif policy_kind == "ucb_baseline":
         ucb_range = require("ucb_range")
-        if not ucb_range > 0:
-            raise ConfigError(f"'ucb_range' must be positive ({wheres['ucb_range']})")
+        if not 0 < ucb_range < math.inf:
+            raise ConfigError(
+                f"'ucb_range' must be positive and finite ({wheres['ucb_range']})")
         policy_params = {"ucb_range": ucb_range}
 
     return RunConfig(env_kind=env_kind, env_params=env_params,

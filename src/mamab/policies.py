@@ -40,7 +40,8 @@ class PolicyConfig:
     any run configured through the public surface; epsilon = 0 (pure
     greedy on empirical means) is permitted when constructing the config
     directly, for diagnostics and tests. c > 0 scales the posterior
-    variance. ucb_range > 0 scales the ucb_baseline bonus.
+    variance. ucb_range > 0 scales the ucb_baseline bonus. Both must be
+    finite: an infinite scale drowns every mean and plays near-uniformly.
     """
 
     kind: str
@@ -54,10 +55,10 @@ class PolicyConfig:
         if self.kind == "eps_mats":
             if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
                 raise ValueError("eps_mats requires epsilon in [0, 1]")
-            if self.c is None or not self.c > 0:
+            if self.c is None or not 0 < self.c < math.inf:
                 raise ValueError("eps_mats requires c > 0")
         elif self.kind == "ucb_baseline":
-            if self.ucb_range is None or not self.ucb_range > 0:
+            if self.ucb_range is None or not 0 < self.ucb_range < math.inf:
                 raise ValueError("ucb_baseline requires ucb_range > 0")
 
 

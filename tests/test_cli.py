@@ -235,6 +235,40 @@ class TestRenderSvg:
         ET.parse(path)
 
 
+KIND_BASE = {
+    "chain": {"env": "bernoulli_chain", "m": "3", "d": "2", "policy": "random"},
+    "gem": {"env": "gem_mining", "villages": "3", "env_seed": "0", "policy": "random"},
+    "lower_bound": {"env": "lower_bound", "rho": "1", "policy": "random"},
+    "eps_mats": {"env": "bernoulli_chain", "m": "3", "d": "2",
+                 "policy": "eps_mats", "epsilon": "0.5"},
+    "ucb": {"env": "bernoulli_chain", "m": "3", "d": "2",
+            "policy": "ucb_baseline", "ucb_range": "1"},
+}
+
+OWNER_ERRORS = [
+    ("chain", "d", "4"), ("chain", "m", "1"), ("gem", "villages", "1"),
+    ("lower_bound", "rho", "0"), ("lower_bound", "L", "-1"),
+    ("lower_bound", "X", "3"), ("lower_bound", "delta", "0"),
+    ("eps_mats", "epsilon", "1.5"), ("eps_mats", "c", "-1"),
+    ("ucb", "ucb_range", "0"),
+    ("eps_mats", "epsilon", "inf"), ("eps_mats", "c", "inf"),
+    ("ucb", "ucb_range", "inf"),
+]
+
+
+@pytest.mark.parametrize("kind,key,value", OWNER_ERRORS)
+def test_range_error_names_key_and_location(tmp_path, capsys, kind, key, value):
+    settings = dict(KIND_BASE[kind], T="10", trials="1", seed="0")
+    settings[key] = value
+    argv = ["run", "--out", str(tmp_path / "exp")]
+    for k, v in settings.items():
+        argv += ["--set", f"{k}={v}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert f"--set '{key}={value}'" in err
+
+
 class TestMainCommands:
     BASE = ("--set env=bernoulli_chain --set m=3 --set d=2 "
             "--set policy=eps_mats --set epsilon=0.5 --set T=50 "

@@ -36,8 +36,9 @@ class TestPolicyConfig:
             PolicyConfig("eps_mats", epsilon=-0.1, c=1.0)
 
     def test_bad_c(self):
-        with pytest.raises(ValueError):
-            PolicyConfig("eps_mats", epsilon=0.5, c=0.0)
+        for c in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PolicyConfig("eps_mats", epsilon=0.5, c=c)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -46,6 +47,9 @@ class TestPolicyConfig:
     def test_ucb_needs_range(self):
         with pytest.raises(ValueError):
             PolicyConfig("ucb_baseline")
+        for scale in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PolicyConfig("ucb_baseline", ucb_range=scale)
 
 
 class TestSampleScores:
