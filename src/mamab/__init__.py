@@ -27,14 +27,7 @@ from .harness import (
     run_trial,
     summarize,
 )
-from .hypergraph import (
-    Hypergraph,
-    LocalArmIndex,
-    build_hypergraph,
-    enumerate_joint,
-    local_arm_count,
-    project_local,
-)
+from .hypergraph import Hypergraph, enumerate_joint
 from .policies import (
     LocalArmStats,
     PolicyConfig,
@@ -53,21 +46,17 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentSummary",
     "Hypergraph",
-    "LocalArmIndex",
     "LocalArmStats",
     "PolicyConfig",
     "RegretTrace",
     "brute_argmax",
-    "build_hypergraph",
     "chain_env",
     "enumerate_joint",
     "first_optimal_pull",
     "gem_mining_env",
     "load_table_env",
-    "local_arm_count",
     "lower_bound_env",
     "make_environment",
-    "project_local",
     "pseudo_regret",
     "run_experiment",
     "run_trial",

@@ -14,28 +14,9 @@ Config files are line-oriented ``key = value`` text; ``#`` starts a
 comment. Unknown keys, missing required keys and type errors are fatal
 and name the offending key and location. The same assignments can be
 given inline with ``--set key=value``, which also overrides file values.
-
-Keys:
-
-    env        bernoulli_chain | poisson_chain | gem_mining |
-               lower_bound | table
-    policy     eps_mats | ucb_baseline | random
-    T          horizon, integer >= 1
-    trials     number of trials, integer >= 1
-    seed       base seed; trial i uses seed + i
-    log_every  checkpoint stride (default T // 100, at least 1)
-    out        output path prefix (default: config file stem)
-
-    m, d                 chain environments (d in {2, 3})
-    villages, env_seed   gem_mining
-    rho, L, X, delta     lower_bound (L defaults to the built-in decoy
-                         sizing, X to 3.5, delta to 0.5)
-    table_file           table environment definition file
-
-    epsilon    eps_mats exploration probability, in (0, 1]
-    c          eps_mats posterior-variance scale: a positive number or
-               the literal ln_T, resolved to ln(T) at load time (default)
-    ucb_range  ucb_baseline bonus scale, > 0
+The keys, their types, defaults and the kinds that accept them are the
+``SCHEMA`` table below; range errors come from the environment builders
+and ``PolicyConfig``, which own the values.
 
 CSV schemas (floats always carry six fractional digits):
 
@@ -78,23 +59,55 @@ class ConfigError(ValueError):
 
 
 ENV_KINDS = ("bernoulli_chain", "poisson_chain", "gem_mining", "lower_bound", "table")
+_CHAINS = ("bernoulli_chain", "poisson_chain")
 
-_COMMON_KEYS = {"env", "policy", "T", "trials", "seed", "log_every", "out"}
-_ENV_KEYS = {
-    "bernoulli_chain": {"m", "d"},
-    "poisson_chain": {"m", "d"},
-    "gem_mining": {"villages", "env_seed"},
-    "lower_bound": {"rho", "L", "X", "delta"},
-    "table": {"table_file"},
+
+def _number_or_ln_T(raw: str):
+    return raw if raw == "ln_T" else float(raw)
+
+
+_TYPE_NAMES = {int: "integer", float: "number", _number_or_ln_T: "number or ln_T"}
+
+# The config schema: key -> (type, default, kinds that accept it). A kind
+# is an environment or policy kind; None accepts the key in every run. A
+# default of None makes the key required; a callable default is computed
+# from the values of the keys above it and the config path.
+SCHEMA = {
+    "env": (str, None, None),
+    "policy": (str, None, None),
+    "T": (int, None, None),
+    "trials": (int, None, None),
+    "seed": (int, None, None),
+    "log_every": (int, lambda v, path: max(1, v["T"] // 100), None),
+    "out": (str, lambda v, path: (os.path.splitext(os.path.basename(path))[0]
+                                  if path else "experiment"), None),
+    "m": (int, None, _CHAINS),
+    "d": (int, None, _CHAINS),
+    "villages": (int, None, ("gem_mining",)),
+    "env_seed": (int, None, ("gem_mining",)),
+    "rho": (int, None, ("lower_bound",)),
+    "L": (int, lambda v, path: decoys_per_group(v["rho"]), ("lower_bound",)),
+    "X": (float, 3.5, ("lower_bound",)),
+    "delta": (float, 0.5, ("lower_bound",)),
+    "table_file": (str, None, ("table",)),
+    "epsilon": (float, None, ("eps_mats",)),
+    "c": (_number_or_ln_T, "ln_T", ("eps_mats",)),
+    "ucb_range": (float, None, ("ucb_baseline",)),
 }
-_POLICY_KEYS = {
-    "eps_mats": {"epsilon", "c"},
-    "ucb_baseline": {"ucb_range"},
-    "random": set(),
-}
-_INT_KEYS = {"T", "trials", "seed", "log_every", "m", "d", "villages",
-             "env_seed", "rho", "L"}
-_FLOAT_KEYS = {"epsilon", "X", "delta", "ucb_range"}
+
+
+def _owned(build, sources: dict, *args, **kwargs):
+    """Call an owner of config values (an environment builder or
+    PolicyConfig). Owners start a range error with the offending config
+    key; it is re-raised naming that key and where it was set."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        key = str(exc).split(" ", 1)[0]
+        if key not in SCHEMA:
+            raise
+        raise ConfigError(f"invalid value for '{key}' "
+                          f"({sources.get(key, 'default')}): {exc}") from None
 
 
 @dataclass
@@ -108,48 +121,27 @@ class RunConfig:
     out_prefix: str
     policy_kind: Optional[str] = None
     policy_params: dict = field(default_factory=dict)
-    c_raw: Optional[str] = None
+    # key -> where it was set, for owner errors raised after parsing
+    _sources: dict = field(default_factory=dict, init=False, repr=False)
 
     def build_env(self) -> Environment:
         kind = self.env_kind
         p = self.env_params
-        if kind == "bernoulli_chain":
-            return chain_env(p["m"], p["d"], "bernoulli")
-        if kind == "poisson_chain":
-            return chain_env(p["m"], p["d"], "poisson")
+        if kind in _CHAINS:
+            return _owned(chain_env, self._sources, p["m"], p["d"],
+                          kind.removesuffix("_chain"))
         if kind == "gem_mining":
-            return gem_mining_env(p["villages"], random.Random(p["env_seed"]))
+            return _owned(gem_mining_env, self._sources, p["villages"],
+                          random.Random(p["env_seed"]))
         if kind == "lower_bound":
-            return lower_bound_env(p["rho"], p["L"], p["X"], p["delta"])
+            return _owned(lower_bound_env, self._sources, **p)
         return load_table_env(p["table_file"])
 
     def build_policy(self) -> PolicyConfig:
         if self.policy_kind is None:
             raise ConfigError("no policy configured")
-        return PolicyConfig(self.policy_kind, **self.policy_params)
-
-    def label(self) -> str:
-        if self.policy_kind == "eps_mats":
-            return f"eps_mats epsilon={self.policy_params['epsilon']:g}"
-        return self.policy_kind or self.env_kind
-
-
-def _parse_value(key: str, raw: str, where: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"invalid value for '{key}' ({where}): expected integer, "
-                f"got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"invalid value for '{key}' ({where}): expected number, "
-                f"got {raw!r}") from None
-    return raw
+        return _owned(PolicyConfig, self._sources, self.policy_kind,
+                      **self.policy_params)
 
 
 def _read_config_file(path: str) -> dict:
@@ -180,11 +172,23 @@ def _read_config_file(path: str) -> dict:
     return entries
 
 
+def _kind(entries: dict, key: str, choices, required: bool) -> Optional[str]:
+    if key not in entries:
+        if required:
+            raise ConfigError(f"missing required key '{key}'")
+        return None
+    value, where = entries[key]
+    if value not in choices:
+        raise ConfigError(f"unknown {key} '{value}' ({where}); choose from "
+                          f"{', '.join(choices)}")
+    return value
+
+
 def parse_config(path: Optional[str] = None,
                  assignments: Sequence[str] = (),
                  need_policy: bool = True) -> RunConfig:
     """Load and fully validate a run configuration from a file, inline
-    key=value assignments, or both (assignments win)."""
+    key=value assignments, or both (later assignments win)."""
     entries = _read_config_file(path) if path else {}
     for item in assignments:
         key, sep, value = item.partition("=")
@@ -194,125 +198,58 @@ def parse_config(path: Optional[str] = None,
             raise ConfigError(f"bad --set argument {item!r}: expected key=value")
         entries[key] = (value, f"flag --set {item!r}")
 
-    def take(key):
-        return entries.pop(key, None)
-
-    got = take("env")
-    if got is None:
-        raise ConfigError("missing required key 'env'")
-    env_kind, where = got
-    if env_kind not in ENV_KINDS:
-        raise ConfigError(
-            f"unknown environment '{env_kind}' ({where}); choose from "
-            f"{', '.join(ENV_KINDS)}")
-
-    policy_kind = None
-    got = take("policy")
-    if got is not None:
-        policy_kind, where = got
-        if policy_kind not in POLICY_KINDS:
-            raise ConfigError(
-                f"unknown policy '{policy_kind}' ({where}); choose from "
-                f"{', '.join(POLICY_KINDS)}")
-    elif need_policy:
-        raise ConfigError("missing required key 'policy'")
-
-    allowed = set(_COMMON_KEYS) | _ENV_KEYS[env_kind]
-    if policy_kind is not None:
-        allowed |= _POLICY_KEYS[policy_kind]
+    env_kind = _kind(entries, "env", ENV_KINDS, True)
+    policy_kind = _kind(entries, "policy", POLICY_KINDS, need_policy)
+    accepted = [key for key, (_, _, kinds) in SCHEMA.items()
+                if kinds is None or env_kind in kinds or policy_kind in kinds]
     for key, (_value, where) in entries.items():
-        if key not in allowed:
+        if key not in accepted:
             raise ConfigError(f"unknown key '{key}' ({where})")
 
     values = {}
-    wheres = {}
-    for key, (value, where) in entries.items():
-        values[key] = _parse_value(key, value, where)
-        wheres[key] = where
-
-    def require(key):
-        if key not in values:
-            raise ConfigError(f"missing required key '{key}'")
-        return values[key]
-
-    horizon = require("T")
-    if horizon < 1:
-        raise ConfigError(f"'T' must be >= 1 ({wheres['T']})")
-    trials = require("trials")
-    if trials < 1:
-        raise ConfigError(f"'trials' must be >= 1 ({wheres['trials']})")
-    base_seed = require("seed")
-    log_every = values.get("log_every", max(1, horizon // 100))
-    if log_every < 1:
-        raise ConfigError(f"'log_every' must be >= 1 ({wheres['log_every']})")
-    if "out" in values:
-        out_prefix = values["out"]
-    elif path:
-        out_prefix = os.path.splitext(os.path.basename(path))[0]
-    else:
-        out_prefix = "experiment"
-
-    env_params = {}
-    if env_kind in ("bernoulli_chain", "poisson_chain"):
-        env_params["m"] = require("m")
-        env_params["d"] = require("d")
-        if env_params["d"] not in (2, 3):
-            raise ConfigError(f"'d' must be 2 or 3 ({wheres['d']})")
-        if env_params["m"] < env_params["d"]:
-            raise ConfigError(f"'m' must be at least d ({wheres['m']})")
-    elif env_kind == "gem_mining":
-        env_params["villages"] = require("villages")
-        env_params["env_seed"] = require("env_seed")
-        if env_params["villages"] < 2:
-            raise ConfigError(f"'villages' must be >= 2 ({wheres['villages']})")
-    elif env_kind == "lower_bound":
-        env_params["rho"] = require("rho")
-        if env_params["rho"] < 1:
-            raise ConfigError(f"'rho' must be >= 1 ({wheres['rho']})")
-        env_params["L"] = values.get("L", decoys_per_group(env_params["rho"]))
-        env_params["X"] = values.get("X", 3.5)
-        env_params["delta"] = values.get("delta", 0.5)
-        if env_params["L"] < 0:
-            raise ConfigError(f"'L' must be >= 0 ({wheres['L']})")
-        if not env_params["X"] > 3:
-            raise ConfigError(f"'X' must exceed 3 ({wheres['X']})")
-        if not env_params["delta"] > 0:
-            raise ConfigError(f"'delta' must be positive ({wheres['delta']})")
-    else:
-        env_params["table_file"] = require("table_file")
-
-    policy_params = {}
-    c_raw = None
-    if policy_kind == "eps_mats":
-        epsilon = require("epsilon")
-        if not 0.0 < epsilon <= 1.0:
-            raise ConfigError(
-                f"'epsilon' must lie in (0, 1] ({wheres['epsilon']})")
-        c_raw = values.get("c", "ln_T")
-        if c_raw == "ln_T":
-            c_value = math.log(horizon)
-        else:
+    sources = {}
+    for key in accepted:
+        if key in ("env", "policy"):
+            continue
+        kind, default, _ = SCHEMA[key]
+        if key in entries:
+            raw, sources[key] = entries[key]
             try:
-                c_value = float(c_raw)
+                values[key] = kind(raw)
             except ValueError:
                 raise ConfigError(
-                    f"invalid value for 'c' ({wheres['c']}): expected a "
-                    f"positive number or ln_T, got {c_raw!r}") from None
-            if not 0 < c_value < math.inf:
-                raise ConfigError(f"'c' must be positive and finite ({wheres['c']})")
-        policy_params = {"epsilon": epsilon, "c": c_value}
-    elif policy_kind == "ucb_baseline":
-        ucb_range = require("ucb_range")
-        if not 0 < ucb_range < math.inf:
-            raise ConfigError(
-                f"'ucb_range' must be positive and finite ({wheres['ucb_range']})")
-        policy_params = {"ucb_range": ucb_range}
+                    f"invalid value for '{key}' ({sources[key]}): expected "
+                    f"{_TYPE_NAMES[kind]}, got {raw!r}") from None
+        elif default is None:
+            raise ConfigError(f"missing required key '{key}'")
+        elif callable(default):
+            values[key] = _owned(default, sources, values, path)
+        else:
+            values[key] = default
+        # the CLI needs T for ln_T and the default stride
+        if key in ("T", "trials", "log_every") and values[key] < 1:
+            raise ConfigError(f"'{key}' must be >= 1 ({sources[key]})")
 
-    return RunConfig(env_kind=env_kind, env_params=env_params,
-                     horizon=horizon, trials=trials, base_seed=base_seed,
-                     log_every=log_every, out_prefix=out_prefix,
-                     policy_kind=policy_kind, policy_params=policy_params,
-                     c_raw=str(c_raw) if c_raw is not None else None)
+    if policy_kind == "eps_mats":
+        # stricter than PolicyConfig, which admits the greedy epsilon = 0
+        if not values["epsilon"] > 0:
+            raise ConfigError(f"'epsilon' must lie in (0, 1] ({sources['epsilon']})")
+        if values["c"] == "ln_T":
+            values["c"] = math.log(values["T"])
+
+    def owned_by(kind):
+        return {key: values[key] for key in accepted
+                if SCHEMA[key][2] is not None and kind in SCHEMA[key][2]}
+
+    cfg = RunConfig(env_kind=env_kind, env_params=owned_by(env_kind),
+                    horizon=values["T"], trials=values["trials"],
+                    base_seed=values["seed"], log_every=values["log_every"],
+                    out_prefix=values["out"], policy_kind=policy_kind,
+                    policy_params=owned_by(policy_kind))
+    cfg._sources = sources
+    if policy_kind is not None:
+        cfg.build_policy()
+    return cfg
 
 
 # ---------------------------------------------------------------------
@@ -468,18 +405,6 @@ def render_svg(series: Sequence[tuple[str, Sequence[int], Sequence[float],
 # subcommands
 # ---------------------------------------------------------------------
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("'--trials' must be >= 1")
-        cfg.trials = args.trials
-    if args.out is not None:
-        cfg.out_prefix = args.out
-    return cfg
-
-
 def _run_one(cfg: RunConfig, record_timing: bool):
     env = cfg.build_env()
     spec = ExperimentSpec(env, cfg.build_policy(), cfg.horizon, cfg.trials,
@@ -497,7 +422,7 @@ def _run_one(cfg: RunConfig, record_timing: bool):
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config, args.set), args)
+    cfg = parse_config(args.config, args.set)
     _run_one(cfg, args.record_timing)
     return 0
 
@@ -509,7 +434,7 @@ def _cmd_sweep(args) -> int:
         if not value:
             raise ConfigError("empty value in --values")
         assignments = list(args.set) + [f"{args.param}={value}"]
-        cfg = _apply_overrides(parse_config(args.config, assignments), args)
+        cfg = parse_config(args.config, assignments)
         if base_out is None:
             base_out = cfg.out_prefix
         cfg.out_prefix = f"{base_out}.{args.param}_{value}"
@@ -572,9 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "all required keys)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="inline config assignment, overrides the file")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--trials", type=int, default=None, help="override trials")
-        p.add_argument("--out", default=None, help="override output prefix")
+        for key in ("seed", "trials", "out"):
+            p.add_argument(f"--{key}", dest="set", action="append",
+                           type=lambda v, key=key: f"{key}={v}",
+                           metavar=key.upper(), help=f"same as --set {key}=...")
         if policy:
             p.add_argument("--record-timing", action="store_true",
                            help="write measured wall time into the summary CSV "

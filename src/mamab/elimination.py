@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, JointAssignment
+from .hypergraph import Hypergraph, JointAssignment, _mixed_radix_weights
 
 DEFAULT_BRUTE_CAP = 1 << 20
 
@@ -80,7 +80,7 @@ def _cell_map(union_scope, union_counts, sub_scope, sub_weights):
     if tuple(sub_scope) == tuple(union_scope):
         return None
     pos = {agent: j for j, agent in enumerate(union_scope)}
-    union_weights = _c_order_weights(union_counts)
+    union_weights = _mixed_radix_weights(union_counts)
     size = 1
     for k in union_counts:
         size *= k
@@ -95,13 +95,6 @@ def _cell_map(union_scope, union_counts, sub_scope, sub_weights):
     return out
 
 
-def _c_order_weights(counts):
-    weights = [1] * len(counts)
-    for j in range(len(counts) - 2, -1, -1):
-        weights[j] = weights[j + 1] * counts[j + 1]
-    return weights
-
-
 def _build_schedule(h: Hypergraph) -> _Schedule:
     scopes: dict[int, tuple[int, ...]] = {}
     sizes: dict[int, int] = {}
@@ -111,17 +104,7 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
         counts = [h.arm_counts[i] for i in scope]
         # leaf tables live in sorted-scope C order; the stored permutation
         # maps each sorted-layout cell to its group-order flat offset
-        perm = None
-        if scope != members:
-            weights_by_agent = dict(zip(members, h.group_weights[e]))
-            sub_weights = [weights_by_agent[i] for i in scope]
-            cw = _c_order_weights(counts)
-            perm = [0] * h.group_sizes[e]
-            for cell in range(h.group_sizes[e]):
-                idx = 0
-                for j, w in enumerate(sub_weights):
-                    idx += ((cell // cw[j]) % counts[j]) * w
-                perm[cell] = idx
+        perm = _cell_map(scope, counts, members, h.group_weights[e])
         leaves.append((h.local_offsets[e], h.group_sizes[e], perm))
         scopes[e] = scope
         sizes[e] = h.group_sizes[e]
@@ -148,13 +131,13 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
         for f in input_ids:
             sub_scope = scopes[f]
             sub_counts = [h.arm_counts[i] for i in sub_scope]
-            sub_weights = _c_order_weights(sub_counts)
+            sub_weights = _mixed_radix_weights(sub_counts)
             inputs.append((f, _cell_map(union, union_counts, sub_scope, sub_weights)))
             op_count += sizes[f]
         k = h.arm_counts[agent]
         rest_scope = tuple(union[:-1])
         rest_counts = [h.arm_counts[i] for i in rest_scope]
-        rest_weights = tuple(_c_order_weights(rest_counts)) if rest_scope else ()
+        rest_weights = _mixed_radix_weights(rest_counts)
         out_size = merged_size // k
         steps.append(_Step(agent, k, inputs, merged_size, out_size, next_id,
                            rest_scope, rest_weights))

@@ -5,9 +5,11 @@ one true mean per flat local arm, a reward family per group, and the
 cached optimum of the summed means. Reward sampling takes the caller's
 random stream, so concurrent trials each pass their own.
 
-Families: ``bernoulli`` (mean in [0, 1]), ``poisson`` (mean >= 0, and
-note Poisson tails are heavier than Gaussian; it is included for
-benchmark fidelity), ``gaussian`` (unit variance).
+Families: ``bernoulli`` (mean in [0, 1]), ``poisson`` (mean in
+[0, POISSON_MAX_MEAN], and note Poisson tails are heavier than Gaussian;
+it is included for benchmark fidelity), ``gaussian`` (unit variance).
+
+Range errors from the builders name the parameter by its config key.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .elimination import DEFAULT_BRUTE_CAP, brute_argmax, ve_argmax
-from .hypergraph import (
-    Hypergraph,
-    JointAssignment,
-    build_hypergraph,
-    validate_assignment,
-)
+from .hypergraph import Hypergraph, JointAssignment, validate_assignment
 
 FAMILIES = ("bernoulli", "poisson", "gaussian")
 
@@ -51,6 +48,11 @@ TRIPLE_TABLE = {
 }
 
 GEM_WORKER_GROWTH = 1.03
+
+# Knuth's product-of-uniforms Poisson sampler is exact only while
+# exp(-mean) is a normal double (mean < 708); larger means would draw
+# from a silently truncated distribution, so they are rejected.
+POISSON_MAX_MEAN = 700.0
 
 
 class InvalidEnvironmentError(ValueError):
@@ -159,9 +161,10 @@ def make_environment(graph: Hypergraph, means: Sequence[float],
             if families[e] == "bernoulli" and not 0.0 <= mean <= 1.0:
                 raise InvalidEnvironmentError(
                     f"bernoulli mean {mean} at local arm {j} outside [0, 1]")
-            if families[e] == "poisson" and mean < 0.0:
+            if families[e] == "poisson" and not 0.0 <= mean <= POISSON_MAX_MEAN:
                 raise InvalidEnvironmentError(
-                    f"poisson mean {mean} at local arm {j} is negative")
+                    f"poisson mean {mean} at local arm {j} outside "
+                    f"[0, {POISSON_MAX_MEAN:g}]")
 
     means = tuple(float(x) for x in means)
     if graph.num_joint_arms <= DEFAULT_BRUTE_CAP:
@@ -187,13 +190,13 @@ def chain_env(m: int, d: int, family: str) -> Environment:
     """Chain of m binary agents with overlapping groups of d consecutive
     agents (group e covers agents e..e+d-1)."""
     if d not in (2, 3):
-        raise InvalidEnvironmentError(f"chain group size must be 2 or 3, got {d}")
+        raise InvalidEnvironmentError(f"d must be 2 or 3, got {d}")
     if m < d:
-        raise InvalidEnvironmentError(f"need at least {d} agents, got {m}")
+        raise InvalidEnvironmentError(f"m must be at least d = {d}, got {m}")
     if family not in ("bernoulli", "poisson"):
         raise InvalidEnvironmentError(f"chain family must be bernoulli or poisson, got {family!r}")
     groups = [list(range(e, e + d)) for e in range(m - d + 1)]
-    graph = build_hypergraph(m, [2] * m, groups)
+    graph = Hypergraph(m, [2] * m, groups)
 
     means = []
     if d == 2:
@@ -232,7 +235,7 @@ def gem_mining_env(num_villages: int, rng: Random) -> Environment:
     probabilities per mine ascending, so one seed pins the instance.
     """
     if num_villages < 2:
-        raise InvalidEnvironmentError(f"need at least 2 villages, got {num_villages}")
+        raise InvalidEnvironmentError(f"villages must be >= 2, got {num_villages}")
     n = num_villages
     workers = [rng.randint(1, 5) for _ in range(n)]
     reach = [rng.randint(2, 4) for _ in range(n - 1)] + [4]
@@ -246,7 +249,7 @@ def gem_mining_env(num_villages: int, rng: Random) -> Environment:
         if members:
             mine_members.append(members)
             mine_ids.append(e)
-    graph = build_hypergraph(n, reach, mine_members)
+    graph = Hypergraph(n, reach, mine_members)
 
     means = []
     for g, members in enumerate(mine_members):
@@ -273,6 +276,8 @@ def decoys_per_group(rho: int) -> int:
     """Default number of equal-mean decoy arms per group for the
     restricted-action environment: enough that early lock-in on decoys is
     overwhelmingly likely, growing linearly with the group count."""
+    if rho < 1:
+        raise InvalidEnvironmentError(f"rho must be >= 1, got {rho}")
     b = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))  # P(N(0,1) <= 1)
     log_base = -math.log(b)
     return math.ceil(2 * math.e * (rho * math.log(2) + math.log(rho)) / log_base)
@@ -285,14 +290,14 @@ def lower_bound_env(rho: int, L: int, X: float, delta: float) -> Environment:
     L**rho all-decoy combinations; consumers receive this candidate set
     explicitly instead of the product space."""
     if rho < 1:
-        raise InvalidEnvironmentError(f"need at least one group, got rho={rho}")
+        raise InvalidEnvironmentError(f"rho must be >= 1, got {rho}")
     if L < 0:
-        raise InvalidEnvironmentError(f"decoy count must be >= 0, got {L}")
-    if not X > 3:
-        raise InvalidEnvironmentError(f"X must exceed 3, got {X}")
-    if not delta > 0:
-        raise InvalidEnvironmentError(f"delta must be positive, got {delta}")
-    graph = build_hypergraph(rho, [L + 1] * rho, [[e] for e in range(rho)])
+        raise InvalidEnvironmentError(f"L must be >= 0, got {L}")
+    if not 3 < X < math.inf:
+        raise InvalidEnvironmentError(f"X must be finite and exceed 3, got {X}")
+    if not 0 < delta < math.inf:
+        raise InvalidEnvironmentError(f"delta must be positive and finite, got {delta}")
+    graph = Hypergraph(rho, [L + 1] * rho, [[e] for e in range(rho)])
     means = []
     for _ in range(rho):
         means.append(X + delta)
@@ -309,7 +314,7 @@ def lower_bound_env(rho: int, L: int, X: float, delta: float) -> Environment:
 # ---------------------------------------------------------------------
 
 def _poisson_draw(rng: Random, lam: float) -> float:
-    # Knuth's product-of-uniforms method; exact for the small rates used here
+    # Knuth's product-of-uniforms method; exact up to POISSON_MAX_MEAN
     limit = math.exp(-lam)
     k = 0
     p = rng.random()
@@ -416,7 +421,7 @@ def load_table_env(path: str) -> Environment:
         raise InvalidEnvironmentError("missing arms line")
     if not groups:
         raise InvalidEnvironmentError("missing group lines")
-    graph = build_hypergraph(len(arm_counts), arm_counts, groups)
+    graph = Hypergraph(len(arm_counts), arm_counts, groups)
     if len(families) != graph.num_groups:
         raise InvalidEnvironmentError(
             f"{len(families)} family lines for {graph.num_groups} groups")

@@ -64,6 +64,23 @@ class ExperimentResult:
     traces: tuple[RegretTrace, ...]
 
 
+def _rounds(env: Environment, cfg: PolicyConfig, horizon: int, seed: int,
+            tally: Optional[WorkTally] = None):
+    """The round loop: select, index, yield (t, arms, flat) to the caller,
+    then draw the rewards and update. A caller that stops iterating skips
+    that round's reward draw. The layer functions are looked up as module
+    globals on every round, so a profiler can wrap them."""
+    graph = env.graph
+    rng = Random(seed)
+    stats = LocalArmStats.fresh(graph.num_local_arms)
+    candidates = env.candidates
+    for t in range(1, horizon + 1):
+        arms = select_arm(graph, stats, cfg, t, rng, tally, candidates)
+        flat = graph.flat_indices(arms)
+        yield t, arms, flat
+        update_stats_at(stats, flat, sample_rewards_at(env, flat, rng))
+
+
 def run_trial(env: Environment, cfg: PolicyConfig, horizon: int, seed: int,
               log_every: int) -> RegretTrace:
     """Run select -> observe -> update for `horizon` rounds.
@@ -75,20 +92,12 @@ def run_trial(env: Environment, cfg: PolicyConfig, horizon: int, seed: int,
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if log_every < 1:
         raise ValueError(f"log_every must be >= 1, got {log_every}")
-    graph = env.graph
-    rng = Random(seed)
-    stats = LocalArmStats.fresh(graph.num_local_arms)
     tally = WorkTally()
-    candidates = env.candidates
     cum = 0.0
     checkpoints = []
     start = time.perf_counter_ns()
-    for t in range(1, horizon + 1):
-        arms = select_arm(graph, stats, cfg, t, rng, tally, candidates)
-        flat = graph.flat_indices(arms)
+    for t, _arms, flat in _rounds(env, cfg, horizon, seed, tally):
         cum += regret_at(env, flat)
-        rewards = sample_rewards_at(env, flat, rng)
-        update_stats_at(stats, flat, rewards)
         if t % log_every == 0:
             checkpoints.append((t, cum))
     wall = time.perf_counter_ns() - start
@@ -141,33 +150,22 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def first_optimal_pull(env: Environment, cfg: PolicyConfig, horizon: int,
-                       seed: int, stop_early: bool = True) -> Optional[int]:
+                       seed: int) -> Optional[int]:
     """Round index of the first pull of the environment's optimal
     assignment, or None if it never happens within the horizon.
 
     Intended for posterior-sampling policies on restricted-action
-    environments. With stop_early the loop ends at the first optimal
-    selection; the returned index is unaffected either way because
-    selection at round t depends only on rounds before t.
+    environments. The loop ends at the first optimal selection; that
+    cuts no result short, because selection at round t depends only on
+    rounds before t.
     """
     if cfg.kind != "eps_mats":
         raise ValueError("first_optimal_pull expects an eps_mats policy")
-    graph = env.graph
-    rng = Random(seed)
-    stats = LocalArmStats.fresh(graph.num_local_arms)
-    candidates = env.candidates
     optimal = env.optimal_assignment
-    hit: Optional[int] = None
-    for t in range(1, horizon + 1):
-        arms = select_arm(graph, stats, cfg, t, rng, None, candidates)
-        if arms == optimal and hit is None:
-            hit = t
-            if stop_early:
-                return hit
-        flat = graph.flat_indices(arms)
-        rewards = sample_rewards_at(env, flat, rng)
-        update_stats_at(stats, flat, rewards)
-    return hit
+    for t, arms, _flat in _rounds(env, cfg, horizon, seed):
+        if arms == optimal:
+            return t
+    return None
 
 
 def median_first_optimal_pull(env: Environment, cfg: PolicyConfig, horizon: int,

@@ -19,7 +19,6 @@ Indexing conventions, fixed and 0-based everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 JointAssignment = tuple[int, ...]
@@ -47,17 +46,6 @@ class UncoveredAgentError(HypergraphError):
 
 class ZeroArmCountError(HypergraphError):
     pass
-
-
-@dataclass(frozen=True)
-class LocalArmIndex:
-    """Position of one local arm: its group, the mixed-radix index of the
-    member agents' arms within that group, and the flat position in the
-    stacked local-arm space."""
-
-    group: int
-    within_group: int
-    flat: int
 
 
 def _mixed_radix_weights(counts: Sequence[int]) -> tuple[int, ...]:
@@ -169,30 +157,6 @@ class Hypergraph:
                 w += arms[i] * mw
             out.append(w)
         return out
-
-
-def build_hypergraph(num_agents: int, arm_counts: Sequence[int],
-                     groups: Sequence[Sequence[int]]) -> Hypergraph:
-    """Validate and construct a Hypergraph. See class docstring for the
-    indexing conventions."""
-    return Hypergraph(num_agents, arm_counts, groups)
-
-
-def local_arm_count(h: Hypergraph) -> int:
-    """Total number of local arms: sum over groups of the product of the
-    member agents' arm counts."""
-    return h.num_local_arms
-
-
-def project_local(h: Hypergraph, arms: Sequence[int], group: int) -> LocalArmIndex:
-    """Mixed-radix encoding of the arms chosen by one group's members."""
-    if not 0 <= group < h.num_groups:
-        raise IndexError(f"group {group} out of range [0, {h.num_groups})")
-    within = 0
-    for i, w in zip(h.groups[group], h.group_weights[group]):
-        within += arms[i] * w
-    return LocalArmIndex(group=group, within_group=within,
-                         flat=h.local_offsets[group] + within)
 
 
 def enumerate_joint(h: Hypergraph) -> Iterator[JointAssignment]:

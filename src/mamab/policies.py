@@ -54,12 +54,13 @@ class PolicyConfig:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "eps_mats":
             if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
-                raise ValueError("eps_mats requires epsilon in [0, 1]")
+                raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
             if self.c is None or not 0 < self.c < math.inf:
-                raise ValueError("eps_mats requires c > 0")
+                raise ValueError(f"c must be positive and finite, got {self.c}")
         elif self.kind == "ucb_baseline":
             if self.ucb_range is None or not 0 < self.ucb_range < math.inf:
-                raise ValueError("ucb_baseline requires ucb_range > 0")
+                raise ValueError(
+                    f"ucb_range must be positive and finite, got {self.ucb_range}")
 
 
 @dataclass

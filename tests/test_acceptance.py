@@ -19,7 +19,7 @@ from mamab.environments import (
     sample_rewards,
 )
 from mamab.harness import run_trial
-from mamab.hypergraph import build_hypergraph
+from mamab.hypergraph import Hypergraph
 from mamab.policies import LocalArmStats, PolicyConfig, select_arm, update_stats
 
 from conftest import SWEEP_EPSILONS, SWEEP_HORIZON, SWEEP_TRIALS
@@ -48,7 +48,7 @@ def random_instance(rng):
     while len(groups) < 9 and rng.random() < 0.4:
         size = rng.randint(1, min(3, m))
         groups.append(rng.sample(range(m), size))
-    return build_hypergraph(m, arm_counts, groups)
+    return Hypergraph(m, arm_counts, groups)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -74,7 +74,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_chain_complexity_witness():
     ratios = {}
     for m in (4, 8, 16, 32, 64):
-        h = build_hypergraph(m, [2] * m,
+        h = Hypergraph(m, [2] * m,
                              [[i, i + 1] for i in range(m - 1)])
         res = ve_argmax(h, [0.0] * h.num_local_arms)
         ratios[m] = res.op_count / h.num_local_arms

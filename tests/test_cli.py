@@ -1,9 +1,12 @@
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from mamab.cli import (
+    SCHEMA,
     ConfigError,
     SUMMARY_HEADER,
     TRIALS_HEADER,
@@ -122,6 +125,16 @@ class TestParseConfig:
     def test_log_every_default(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
         assert cfg.log_every == 100
+
+
+def test_readme_config_table_lists_schema_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config format", 1)[1].split("\n#", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert keys == set(SCHEMA)
 
 
 def small_experiment(trials=2, horizon=60):

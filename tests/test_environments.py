@@ -9,6 +9,7 @@ from mamab.elimination import brute_argmax
 from mamab.environments import (
     BERNOULLI_PAIR_TABLE,
     POISSON_PAIR_TABLE,
+    POISSON_MAX_MEAN,
     InvalidEnvironmentError,
     chain_env,
     decoys_per_group,
@@ -19,7 +20,7 @@ from mamab.environments import (
     pseudo_regret,
     sample_rewards,
 )
-from mamab.hypergraph import build_hypergraph, enumerate_joint, project_local
+from mamab.hypergraph import Hypergraph, enumerate_joint
 
 
 class TestChainEnvironments:
@@ -59,13 +60,13 @@ class TestChainEnvironments:
     def test_even_group_table_direct(self):
         env = chain_env(3, 2, "bernoulli")
         for a, b in itertools.product((0, 1), repeat=2):
-            j = project_local(env.graph, (a, b, 0), 0).flat
+            j = env.graph.flat_indices((a, b, 0))[0]
             assert env.means[j] == BERNOULLI_PAIR_TABLE[a][b]
 
     def test_odd_group_table_transposed(self):
         env = chain_env(3, 2, "poisson")
         for a, b in itertools.product((0, 1), repeat=2):
-            j = project_local(env.graph, (0, a, b), 1).flat
+            j = env.graph.flat_indices((0, a, b))[1]
             assert env.means[j] == POISSON_PAIR_TABLE[b][a]
 
     def test_too_few_agents(self):
@@ -103,8 +104,7 @@ class TestGemMining:
         g = env.graph
         flats = set()
         for arms in enumerate_joint(g):
-            for e in range(g.num_groups):
-                flats.add(project_local(g, arms, e).flat)
+            flats.update(g.flat_indices(arms))
         assert len(flats) == g.num_local_arms
 
     def test_probabilities_clamped(self):
@@ -129,7 +129,7 @@ class TestGemMining:
                 arms = [0] * 5
                 for i, a in zip(members, combo):
                     arms[i] = a
-                j = project_local(g, arms, e).flat
+                j = g.flat_indices(arms)[e]
                 w = sum(workers[i] for i, a in zip(members, combo) if i + a == e)
                 expected = min(1.0, 1.03 ** (w - 1) * base_p[e]) if w else 0.0
                 assert env.means[j] == expected
@@ -178,6 +178,10 @@ class TestLowerBoundEnvironment:
             lower_bound_env(2, 2, 3.5, 0.0)
         with pytest.raises(InvalidEnvironmentError):
             lower_bound_env(2, -1, 3.5, 0.5)
+        with pytest.raises(InvalidEnvironmentError, match="^X "):
+            lower_bound_env(2, 2, math.inf, 0.5)
+        with pytest.raises(InvalidEnvironmentError, match="^delta "):
+            lower_bound_env(2, 2, 3.5, math.inf)
 
     def test_restricted_argmax_matches_literal_scan(self):
         rng = random.Random(31)
@@ -229,28 +233,39 @@ class TestLowerBoundEnvironment:
 
 class TestRewardSampling:
     def test_degenerate_bernoulli(self):
-        g = build_hypergraph(1, [1], [[0]])
+        g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [1.0], ["bernoulli"], "unit")
         rng = random.Random(0)
         assert all(sample_rewards(env, (0,), rng) == [1.0] for _ in range(200))
 
     def test_bernoulli_mean(self):
-        g = build_hypergraph(1, [1], [[0]])
+        g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [0.75], ["bernoulli"], "unit")
         rng = random.Random(5)
         draws = [sample_rewards(env, (0,), rng)[0] for _ in range(100_000)]
         assert abs(np.mean(draws) - 0.75) < 0.01
 
     def test_poisson_moments(self):
-        g = build_hypergraph(1, [1], [[0]])
+        g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [0.3], ["poisson"], "unit")
         rng = random.Random(6)
         draws = [sample_rewards(env, (0,), rng)[0] for _ in range(100_000)]
         assert abs(np.mean(draws) - 0.3) < 0.01
         assert abs(np.var(draws) - 0.3) < 0.02
 
+    def test_poisson_moments_at_bound(self):
+        # the largest accepted mean still samples exactly
+        g = Hypergraph(1, [1], [[0]])
+        env = make_environment(g, [POISSON_MAX_MEAN], ["poisson"], "unit")
+        rng = random.Random(8)
+        n = 2000
+        draws = [sample_rewards(env, (0,), rng)[0] for _ in range(n)]
+        lam = POISSON_MAX_MEAN
+        assert abs(np.mean(draws) - lam) < 4 * math.sqrt(lam / n)
+        assert abs(np.var(draws) - lam) < 4 * lam * math.sqrt(2 / n)
+
     def test_gaussian_moments(self):
-        g = build_hypergraph(1, [1], [[0]])
+        g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [2.0], ["gaussian"], "unit")
         rng = random.Random(7)
         draws = [sample_rewards(env, (0,), rng)[0] for _ in range(100_000)]
@@ -315,22 +330,22 @@ class TestLargeChainUsesElimination:
 
 class TestMakeEnvironmentValidation:
     def test_bernoulli_range_checked(self):
-        g = build_hypergraph(1, [2], [[0]])
+        g = Hypergraph(1, [2], [[0]])
         with pytest.raises(InvalidEnvironmentError):
             make_environment(g, [0.5, 1.2], ["bernoulli"], "bad")
 
     def test_poisson_sign_checked(self):
-        g = build_hypergraph(1, [2], [[0]])
+        g = Hypergraph(1, [2], [[0]])
         with pytest.raises(InvalidEnvironmentError):
             make_environment(g, [0.5, -0.1], ["poisson"], "bad")
 
     def test_family_name_checked(self):
-        g = build_hypergraph(1, [2], [[0]])
+        g = Hypergraph(1, [2], [[0]])
         with pytest.raises(InvalidEnvironmentError):
             make_environment(g, [0.5, 0.1], ["beta"], "bad")
 
     def test_means_length_checked(self):
-        g = build_hypergraph(1, [2], [[0]])
+        g = Hypergraph(1, [2], [[0]])
         with pytest.raises(InvalidEnvironmentError):
             make_environment(g, [0.5], ["bernoulli"], "bad")
 
@@ -389,6 +404,12 @@ mean 3 0.9
         path = self._write(tmp_path,
                            "arms 2\ngroup 0\nmean 0 0.5\nmean 1 0.1\n")
         with pytest.raises(InvalidEnvironmentError, match="family"):
+            load_table_env(path)
+
+    def test_poisson_mean_above_bound_rejected(self, tmp_path):
+        path = self._write(tmp_path, "arms 2\ngroup 0\nfamily poisson\n"
+                                     "mean 0 0\nmean 1 1000\n")
+        with pytest.raises(InvalidEnvironmentError, match="local arm 1 "):
             load_table_env(path)
 
     def test_checked_in_example_loads(self):

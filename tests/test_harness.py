@@ -173,13 +173,18 @@ class TestFirstOptimalPull:
         hits = [first_optimal_pull(env, cfg, 3, seed) for seed in range(12)]
         assert None in hits
 
-    def test_stop_early_matches_full_run(self):
+    def test_hit_independent_of_horizon(self):
+        # selection at round t depends only on earlier rounds, so a hit
+        # within the shorter horizon is the same round under the longer one
         env = lower_bound_env(1, 3, 3.5, 2.0)
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
+        hits = 0
         for seed in range(20):
-            a = first_optimal_pull(env, cfg, 50, seed, stop_early=True)
-            b = first_optimal_pull(env, cfg, 50, seed, stop_early=False)
-            assert a == b
+            a = first_optimal_pull(env, cfg, 50, seed)
+            if a is not None:
+                hits += 1
+                assert first_optimal_pull(env, cfg, 500, seed) == a
+        assert hits > 0
 
     def test_requires_sampling_policy(self):
         env = lower_bound_env(1, 1, 3.5, 0.5)

@@ -9,11 +9,9 @@ from mamab.hypergraph import (
     EmptyGroupError,
     HypergraphError,
     UncoveredAgentError,
+    Hypergraph,
     ZeroArmCountError,
-    build_hypergraph,
     enumerate_joint,
-    local_arm_count,
-    project_local,
 )
 
 
@@ -34,34 +32,34 @@ def reference_local_count(arm_counts, groups):
 
 class TestConstruction:
     def test_chain_d2_counts(self):
-        h = build_hypergraph(10, [2] * 10, chain_groups(10, 2))
+        h = Hypergraph(10, [2] * 10, chain_groups(10, 2))
         assert h.num_groups == 9
-        assert local_arm_count(h) == reference_local_count([2] * 10, chain_groups(10, 2))
-        assert local_arm_count(h) == 36
+        assert h.num_local_arms == reference_local_count([2] * 10, chain_groups(10, 2))
+        assert h.num_local_arms == 36
 
     def test_single_agent_single_group(self):
-        h = build_hypergraph(1, [3], [[0]])
+        h = Hypergraph(1, [3], [[0]])
         assert h.num_groups == 1
-        assert local_arm_count(h) == 3
+        assert h.num_local_arms == 3
 
     def test_chain_d3_counts(self):
         groups = chain_groups(10, 3)
-        h = build_hypergraph(10, [2] * 10, groups)
+        h = Hypergraph(10, [2] * 10, groups)
         assert h.num_groups == 8
-        assert local_arm_count(h) == reference_local_count([2] * 10, groups)
-        assert local_arm_count(h) == 64
+        assert h.num_local_arms == reference_local_count([2] * 10, groups)
+        assert h.num_local_arms == 64
 
     def test_fully_joint_group(self):
-        h = build_hypergraph(5, [3] * 5, [list(range(5))])
-        assert local_arm_count(h) == 3 ** 5
+        h = Hypergraph(5, [3] * 5, [list(range(5))])
+        assert h.num_local_arms == 3 ** 5
 
     def test_offsets_cumulative(self):
-        h = build_hypergraph(4, [2, 3, 2, 2], [[0, 1], [1, 2], [3]])
+        h = Hypergraph(4, [2, 3, 2, 2], [[0, 1], [1, 2], [3]])
         assert h.local_offsets == (0, 6, 12)
         assert h.num_local_arms == 14
 
     def test_immutable_fields(self):
-        h = build_hypergraph(2, [2, 2], [[0, 1]])
+        h = Hypergraph(2, [2, 2], [[0, 1]])
         assert isinstance(h.groups, tuple)
         assert isinstance(h.arm_counts, tuple)
 
@@ -69,29 +67,29 @@ class TestConstruction:
 class TestConstructionErrors:
     def test_empty_group(self):
         with pytest.raises(EmptyGroupError):
-            build_hypergraph(2, [2, 2], [[0, 1], []])
+            Hypergraph(2, [2, 2], [[0, 1], []])
 
     def test_duplicate_agent(self):
         with pytest.raises(DuplicateAgentError):
-            build_hypergraph(3, [2, 2, 2], [[0, 1, 1], [2]])
+            Hypergraph(3, [2, 2, 2], [[0, 1, 1], [2]])
 
     def test_agent_out_of_range(self):
         with pytest.raises(AgentOutOfRangeError):
-            build_hypergraph(2, [2, 2], [[0, 2]])
+            Hypergraph(2, [2, 2], [[0, 2]])
         with pytest.raises(AgentOutOfRangeError):
-            build_hypergraph(2, [2, 2], [[-1, 0], [1]])
+            Hypergraph(2, [2, 2], [[-1, 0], [1]])
 
     def test_uncovered_agent(self):
         with pytest.raises(UncoveredAgentError):
-            build_hypergraph(3, [2, 2, 2], [[0, 1]])
+            Hypergraph(3, [2, 2, 2], [[0, 1]])
 
     def test_zero_arm_count(self):
         with pytest.raises(ZeroArmCountError):
-            build_hypergraph(2, [2, 0], [[0, 1]])
+            Hypergraph(2, [2, 0], [[0, 1]])
 
     def test_length_mismatch(self):
         with pytest.raises(HypergraphError):
-            build_hypergraph(3, [2, 2], [[0, 1, 2]])
+            Hypergraph(3, [2, 2], [[0, 1, 2]])
 
     def test_errors_are_distinct_types(self):
         classes = {EmptyGroupError, DuplicateAgentError, AgentOutOfRangeError,
@@ -101,54 +99,51 @@ class TestConstructionErrors:
             assert issubclass(cls, HypergraphError)
 
 
+def within_group(h, arms, e):
+    return h.flat_indices(arms)[e] - h.local_offsets[e]
+
+
 class TestProjectLocal:
     def test_chain_middle_group(self):
-        h = build_hypergraph(4, [2] * 4, chain_groups(4, 2))
-        res = project_local(h, (0, 1, 1, 0), 1)
-        assert res.group == 1
+        h = Hypergraph(4, [2] * 4, chain_groups(4, 2))
         # group 1 covers agents (1, 2); (1, 1) encodes to 1*2 + 1
-        assert res.within_group == 3
-        assert res.flat == h.local_offsets[1] + 3
+        assert within_group(h, (0, 1, 1, 0), 1) == 3
+        assert h.flat_indices((0, 1, 1, 0))[1] == h.local_offsets[1] + 3
 
     def test_singleton_identity(self):
-        h = build_hypergraph(3, [4, 4, 4], [[0], [1], [2]])
+        h = Hypergraph(3, [4, 4, 4], [[0], [1], [2]])
         for arms in [(0, 1, 2), (3, 3, 3), (2, 0, 1)]:
             for e in range(3):
-                assert project_local(h, arms, e).within_group == arms[e]
+                assert within_group(h, arms, e) == arms[e]
 
     def test_three_agent_binary(self):
-        h = build_hypergraph(3, [2, 2, 2], [[0, 1, 2]])
-        assert project_local(h, (1, 1, 1), 0).within_group == 7
-        assert project_local(h, (1, 0, 1), 0).within_group == 5
+        h = Hypergraph(3, [2, 2, 2], [[0, 1, 2]])
+        assert within_group(h, (1, 1, 1), 0) == 7
+        assert within_group(h, (1, 0, 1), 0) == 5
 
     def test_group_order_sets_significance(self):
         # group lists agent 2 first, so agent 2 is the most significant digit
-        h = build_hypergraph(3, [2, 2, 2], [[2, 0], [1]])
-        assert project_local(h, (1, 0, 0), 0).within_group == 1
-        assert project_local(h, (0, 0, 1), 0).within_group == 2
-
-    def test_group_out_of_range(self):
-        h = build_hypergraph(2, [2, 2], [[0, 1]])
-        with pytest.raises(IndexError):
-            project_local(h, (0, 0), 1)
+        h = Hypergraph(3, [2, 2, 2], [[2, 0], [1]])
+        assert within_group(h, (1, 0, 0), 0) == 1
+        assert within_group(h, (0, 0, 1), 0) == 2
 
 
 class TestEnumerateJoint:
     def test_order_m2(self):
-        h = build_hypergraph(2, [2, 2], [[0, 1]])
+        h = Hypergraph(2, [2, 2], [[0, 1]])
         assert list(enumerate_joint(h)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_count_m3(self):
-        h = build_hypergraph(3, [2, 2, 2], [[0, 1, 2]])
+        h = Hypergraph(3, [2, 2, 2], [[0, 1, 2]])
         assert len(list(enumerate_joint(h))) == 8
 
     def test_count_and_uniqueness_m10(self):
-        h = build_hypergraph(10, [2] * 10, chain_groups(10, 2))
+        h = Hypergraph(10, [2] * 10, chain_groups(10, 2))
         seen = set(enumerate_joint(h))
         assert len(seen) == 1024
 
     def test_matches_decode(self):
-        h = build_hypergraph(3, [2, 3, 2], [[0, 1], [1, 2]])
+        h = Hypergraph(3, [2, 3, 2], [[0, 1], [1, 2]])
         for j, arms in enumerate(enumerate_joint(h)):
             assert h.decode_joint(j) == arms
             assert h.encode_joint(arms) == j
@@ -168,7 +163,7 @@ def random_hypergraph(rng, max_agents=6, max_arms=3, max_groups=6, max_group_siz
     while len(groups) < max_groups and rng.random() < 0.5:
         size = rng.randint(1, min(max_group_size, m))
         groups.append(rng.sample(range(m), size))
-    return build_hypergraph(m, arm_counts, groups)
+    return Hypergraph(m, arm_counts, groups)
 
 
 class TestIndexingProperties:
@@ -186,7 +181,7 @@ class TestIndexingProperties:
                     arms = [0] * h.num_agents
                     for i, a in zip(members, combo):
                         arms[i] = a
-                    w = project_local(h, arms, e).within_group
+                    w = within_group(h, arms, e)
                     assert 0 <= w < size
                     seen.add(w)
                 assert len(seen) == size
@@ -199,10 +194,9 @@ class TestIndexingProperties:
                 continue
             flats = set()
             for arms in enumerate_joint(h):
-                for e in range(h.num_groups):
-                    flats.add(project_local(h, arms, e).flat)
-            assert len(flats) == local_arm_count(h)
-            assert flats == set(range(local_arm_count(h)))
+                flats.update(h.flat_indices(arms))
+            assert len(flats) == h.num_local_arms
+            assert flats == set(range(h.num_local_arms))
 
     def test_enumeration_size_property(self):
         rng = random.Random(7)
@@ -215,11 +209,20 @@ class TestIndexingProperties:
             assert len(assignments) == expected
             assert len(set(assignments)) == expected
 
-    def test_flat_indices_agree_with_project(self):
+    def test_flat_indices_agree_with_reference(self):
+        # Horner evaluation of each group's digits, first member most
+        # significant, plus the running sum of group table sizes
         rng = random.Random(42)
         for _ in range(30):
             h = random_hypergraph(rng)
             arms = tuple(rng.randrange(k) for k in h.arm_counts)
-            fast = h.flat_indices(arms)
-            slow = [project_local(h, arms, e).flat for e in range(h.num_groups)]
-            assert fast == slow
+            expected = []
+            offset = 0
+            for members in h.groups:
+                within, size = 0, 1
+                for i in members:
+                    within = within * h.arm_counts[i] + arms[i]
+                    size *= h.arm_counts[i]
+                expected.append(offset + within)
+                offset += size
+            assert h.flat_indices(arms) == expected

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mamab.elimination import brute_argmax
-from mamab.hypergraph import build_hypergraph
+from mamab.hypergraph import Hypergraph
 from mamab.policies import (
     LocalArmStats,
     PolicyConfig,
@@ -161,7 +161,7 @@ class TestUcbScores:
 
 class TestSelectArm:
     def test_random_uniform_over_joint_space(self):
-        h = build_hypergraph(2, [2, 2], [[0, 1]])
+        h = Hypergraph(2, [2, 2], [[0, 1]])
         stats = LocalArmStats.fresh(h.num_local_arms)
         cfg = PolicyConfig("random")
         rng = random.Random(5)
@@ -174,7 +174,7 @@ class TestSelectArm:
             assert abs(counts[a] / rounds - 0.25) < 0.01
 
     def test_greedy_on_true_means_finds_optimum(self):
-        h = build_hypergraph(4, [2] * 4, chain_groups(4, 2))
+        h = Hypergraph(4, [2] * 4, chain_groups(4, 2))
         rng_means = random.Random(17)
         means = [rng_means.random() for _ in range(h.num_local_arms)]
         stats = LocalArmStats(n=[10] * h.num_local_arms, mu_hat=list(means))
@@ -183,7 +183,7 @@ class TestSelectArm:
         assert chosen == brute_argmax(h, means).argmax
 
     def test_fresh_stats_returns_valid_assignment(self):
-        h = build_hypergraph(3, [2, 3, 2], [[0, 1], [1, 2]])
+        h = Hypergraph(3, [2, 3, 2], [[0, 1], [1, 2]])
         stats = LocalArmStats.fresh(h.num_local_arms)
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
         a = select_arm(h, stats, cfg, 1, random.Random(2))
@@ -194,7 +194,7 @@ class TestSelectArm:
     def test_symmetric_group_selected_uniformly_at_t1(self):
         # with no data every local arm is exchangeable, so each of the four
         # local arms of a single binary pair should win equally often
-        h = build_hypergraph(2, [2, 2], [[0, 1]])
+        h = Hypergraph(2, [2, 2], [[0, 1]])
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
         rng = random.Random(99)
         rounds = 4000
@@ -208,7 +208,7 @@ class TestSelectArm:
             assert abs(counts.get(a, 0) - rounds / 4) <= 4 * sigma
 
     def test_ucb_selects_untried_arm_eventually(self):
-        h = build_hypergraph(2, [2, 2], [[0], [1]])
+        h = Hypergraph(2, [2, 2], [[0], [1]])
         stats = LocalArmStats(n=[4, 0, 4, 0], mu_hat=[0.1, 0.0, 0.1, 0.0])
         cfg = PolicyConfig("ucb_baseline", ucb_range=1.0)
         assert select_arm(h, stats, cfg, 50, random.Random(1)) == (1, 1)
@@ -216,7 +216,7 @@ class TestSelectArm:
 
 class TestUpdateStats:
     def test_first_update(self):
-        h = build_hypergraph(2, [2, 2], [[0, 1]])
+        h = Hypergraph(2, [2, 2], [[0, 1]])
         stats = LocalArmStats.fresh(h.num_local_arms)
         update_stats(stats, h, (0, 1), [0.7])
         j = h.flat_indices((0, 1))[0]
@@ -224,7 +224,7 @@ class TestUpdateStats:
         assert stats.n[j] == 1
 
     def test_running_mean(self):
-        h = build_hypergraph(2, [2, 2], [[0, 1]])
+        h = Hypergraph(2, [2, 2], [[0, 1]])
         stats = LocalArmStats.fresh(h.num_local_arms)
         for r in (1.0, 0.0, 1.0):
             update_stats(stats, h, (1, 0), [r])
@@ -233,7 +233,7 @@ class TestUpdateStats:
         assert stats.n[j] == 3
 
     def test_untouched_entries_bitwise_unchanged(self):
-        h = build_hypergraph(3, [2] * 3, chain_groups(3, 2))
+        h = Hypergraph(3, [2] * 3, chain_groups(3, 2))
         stats = LocalArmStats.fresh(h.num_local_arms)
         rng = random.Random(4)
         for _ in range(20):
@@ -253,13 +253,13 @@ class TestUpdateStats:
                 assert stats.mu_hat[j] == before_mu[j]
 
     def test_reward_length_checked(self):
-        h = build_hypergraph(2, [2, 2], [[0, 1]])
+        h = Hypergraph(2, [2, 2], [[0, 1]])
         stats = LocalArmStats.fresh(h.num_local_arms)
         with pytest.raises(ValueError):
             update_stats(stats, h, (0, 0), [0.1, 0.2])
 
     def test_incremental_matches_batch_mean(self):
-        h = build_hypergraph(4, [2] * 4, chain_groups(4, 2))
+        h = Hypergraph(4, [2] * 4, chain_groups(4, 2))
         stats = LocalArmStats.fresh(h.num_local_arms)
         rng = random.Random(8)
         history = {j: [] for j in range(h.num_local_arms)}
@@ -277,7 +277,7 @@ class TestUpdateStats:
             assert stats.n[j] == len(history[j])
 
     def test_pull_conservation_per_group(self):
-        h = build_hypergraph(5, [2] * 5, chain_groups(5, 2))
+        h = Hypergraph(5, [2] * 5, chain_groups(5, 2))
         stats = LocalArmStats.fresh(h.num_local_arms)
         rng = random.Random(21)
         rounds = 500
