@@ -7,9 +7,9 @@ from mamab.hypergraph import (
     AgentOutOfRangeError,
     DuplicateAgentError,
     EmptyGroupError,
+    Hypergraph,
     HypergraphError,
     UncoveredAgentError,
-    Hypergraph,
     ZeroArmCountError,
     enumerate_joint,
 )
