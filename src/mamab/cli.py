@@ -236,6 +236,8 @@ def parse_config(path: Optional[str] = None,
             raise ConfigError(f"'epsilon' must lie in (0, 1] ({sources['epsilon']})")
         if values["c"] == "ln_T":
             values["c"] = math.log(values["T"])
+            sources["c"] = (f"{sources.get('c', 'default')}, "
+                            f"ln_T at T = {values['T']}")
 
     def owned_by(kind):
         return {key: values[key] for key in accepted

@@ -25,6 +25,7 @@ structure, not on the scores. For the brute oracle it is (joint arms) x
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,12 +168,14 @@ def _schedule_for(h: Hypergraph) -> _Schedule:
 def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     """Arg-maximize sum_e scores[a^e] over joint assignments by variable
     elimination. Exact; ties resolve to the smallest mixed-radix joint
-    index. Scores must be finite."""
+    index. The scores and their sum must be finite."""
     if len(scores) != h.num_local_arms:
         raise ValueError(
             f"score vector has length {len(scores)}, expected {h.num_local_arms}")
     if type(scores) is not list:
         scores = [float(x) for x in scores]
+    if not math.isfinite(sum(scores)):
+        raise ValueError("score vector contains non-finite entries")
     sched = _schedule_for(h)
 
     tables: list = [None] * sched.num_factors
@@ -245,14 +248,18 @@ def joint_totals(h: Hypergraph, scores: Sequence[float],
     s = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise ValueError("score vector contains non-finite entries")
-    idx = np.arange(a_total, dtype=np.int64)
-    total = np.zeros(a_total, dtype=np.float64)
+    # C order over one axis per agent, in agent order, is the joint order; a
+    # single-arm agent gets no axis, keeping within numpy's dimension limit
+    wide = [i for i, k in enumerate(h.arm_counts) if k > 1]
+    total = np.zeros([h.arm_counts[i] for i in wide])
     for e, members in enumerate(h.groups):
-        loc = np.full(a_total, h.local_offsets[e], dtype=np.int64)
-        for i, w in zip(members, h.group_weights[e]):
-            loc += ((idx // h.joint_strides[i]) % h.arm_counts[i]) * w
-        total += s[loc]
-    return total
+        kept = [i for i in members if h.arm_counts[i] > 1]
+        table = s[h.local_offsets[e]:h.local_offsets[e] + h.group_sizes[e]]
+        # the group's slice is in C order over its listed members
+        table = table.reshape([h.arm_counts[i] for i in kept])
+        table = table.transpose(sorted(range(len(kept)), key=kept.__getitem__))
+        total += table.reshape([h.arm_counts[i] if i in kept else 1 for i in wide])
+    return total.reshape(a_total)
 
 
 def brute_argmax(h: Hypergraph, scores: Sequence[float],

@@ -14,13 +14,15 @@ Range errors from the builders name the parameter by its config key.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
-from .elimination import DEFAULT_BRUTE_CAP, brute_argmax, ve_argmax
-from .hypergraph import Hypergraph, JointAssignment, validate_assignment
+from .elimination import DEFAULT_BRUTE_CAP, assignment_value, brute_argmax, ve_argmax
+from .hypergraph import (Hypergraph, JointAssignment, _mixed_radix_weights,
+                         validate_assignment)
 
 FAMILIES = ("bernoulli", "poisson", "gaussian")
 
@@ -80,7 +82,6 @@ class RestrictedCandidates:
         return self.num_decoys ** len(self.offsets) + 1
 
     def __iter__(self):
-        import itertools
         yield self.optimal
         rho = len(self.offsets)
         for combo in itertools.product(range(1, self.num_decoys + 1), repeat=rho):
@@ -88,27 +89,20 @@ class RestrictedCandidates:
 
     def argmax(self, scores: Sequence[float]) -> tuple[JointAssignment, float, int]:
         """Returns (assignment, value, cells_read)."""
+        num_decoys = self.num_decoys
         opt_total = 0.0
         sub_total = 0.0
         sub_arms = []
-        ops = 0
-        degenerate = self.num_decoys == 0
         for off in self.offsets:
             opt_total += scores[off]
-            ops += 1
-            if degenerate:
-                continue
-            best = scores[off + 1]
-            best_a = 1
-            for a in range(2, self.num_decoys + 1):
-                v = scores[off + a]
-                if v > best:
-                    best = v
-                    best_a = a
-            ops += self.num_decoys
-            sub_total += best
-            sub_arms.append(best_a)
-        if degenerate or sub_total <= opt_total:
+            if num_decoys:
+                # max and index both take the first maximum: smallest decoy
+                decoys = scores[off + 1:off + 1 + num_decoys]
+                best = max(decoys)
+                sub_total += best
+                sub_arms.append(decoys.index(best) + 1)
+        ops = len(self.offsets) * (num_decoys + 1)
+        if not num_decoys or sub_total <= opt_total:
             return self.optimal, opt_total, ops
         return tuple(sub_arms), sub_total, ops
 
@@ -118,12 +112,9 @@ class RestrictedCandidates:
         if idx == 0:
             return self.optimal
         idx -= 1
-        rho = len(self.offsets)
-        arms = [0] * rho
-        for pos in range(rho - 1, -1, -1):
-            arms[pos] = idx % self.num_decoys + 1
-            idx //= self.num_decoys
-        return tuple(arms)
+        num_decoys = self.num_decoys
+        weights = _mixed_radix_weights([num_decoys] * len(self.offsets))
+        return tuple(idx // w % num_decoys + 1 for w in weights)
 
 
 @dataclass(frozen=True)
@@ -174,9 +165,7 @@ def make_environment(graph: Hypergraph, means: Sequence[float],
         opt_arms = ve_argmax(graph, list(means)).argmax
     # recompute in ascending group order so the cached value is bitwise
     # the value pseudo_regret reconstructs for this assignment
-    opt_value = 0.0
-    for j in graph.flat_indices(opt_arms):
-        opt_value += means[j]
+    opt_value = assignment_value(graph, means, opt_arms)
     return Environment(graph=graph, means=means, families=tuple(families),
                        optimal_assignment=opt_arms, optimal_value=opt_value,
                        name=name, candidates=candidates)
@@ -254,20 +243,13 @@ def gem_mining_env(num_villages: int, rng: Random) -> Environment:
     means = []
     for g, members in enumerate(mine_members):
         mine = mine_ids[g]
-        counts = [reach[i] for i in members]
-        combos = [0] * len(members)
-        # walk the group's local arms in mixed-radix order
-        for _ in range(graph.group_sizes[g]):
-            w = sum(workers[i] for i, a in zip(members, combos) if i + a == mine)
+        # the group's local arms in mixed-radix order
+        for combo in itertools.product(*(range(reach[i]) for i in members)):
+            w = sum(workers[i] for i, a in zip(members, combo) if i + a == mine)
             if w == 0:
                 means.append(0.0)
             else:
                 means.append(min(1.0, GEM_WORKER_GROWTH ** (w - 1) * base_p[mine]))
-            for pos in range(len(members) - 1, -1, -1):
-                combos[pos] += 1
-                if combos[pos] < counts[pos]:
-                    break
-                combos[pos] = 0
     return make_environment(graph, means, ["bernoulli"] * graph.num_groups,
                             name=f"gem_mining_v{n}")
 

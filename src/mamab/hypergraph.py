@@ -57,10 +57,12 @@ def _mixed_radix_weights(counts: Sequence[int]) -> tuple[int, ...]:
 
 
 class Hypergraph:
-    """Immutable agent/group structure with precomputed index maps.
+    """Agent/group structure with precomputed index maps.
 
-    Instances are safe to share across concurrent trial runners; nothing
-    is mutated after construction.
+    The structure never changes after construction. The one mutation is
+    the VE schedule, derived from the structure alone and cached on the
+    first `ve_argmax` call; building it twice gives the same schedule, so
+    instances are safe to share across trial runners.
     """
 
     def __init__(self, num_agents: int, arm_counts: Sequence[int],
@@ -134,9 +136,6 @@ class Hypergraph:
                 f"groups={[list(g) for g in self.groups]})")
 
     # -- joint <-> integer helpers ------------------------------------
-
-    def encode_joint(self, arms: Sequence[int]) -> int:
-        return sum(a * w for a, w in zip(arms, self.joint_strides))
 
     def decode_joint(self, index: int) -> JointAssignment:
         out = []

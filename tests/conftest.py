@@ -19,6 +19,16 @@ GEM_ENV_SEED = 42
 GEM_BASE_SEED = 2000
 LB_BASE_SEED = 3000
 
+# the session fixtures that replay the benchmark experiments; every test
+# that needs one is marked slow, so `pytest -m "not slow"` skips them
+HEAVY_FIXTURES = {"bernoulli_sweep", "bernoulli_random", "gem_runs", "lb_medians"}
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        if HEAVY_FIXTURES.intersection(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
 
 @pytest.fixture(scope="session")
 def bernoulli_sweep():

@@ -91,6 +91,17 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="'c'"):
                 parse_config(path)
 
+    def test_ln_T_at_one_round_names_the_resolution(self, tmp_path):
+        # ln 1 = 0, so a one-round run with the default c must say why c is 0
+        one_round = MINIMAL.replace("T = 10000", "T = 1")
+        with pytest.raises(ConfigError, match=r"'c' \(line 7, ln_T at T = 1\).*got 0\.0"):
+            parse_config(write_cfg(tmp_path, one_round))
+        default_c = one_round.replace("c = ln_T\n", "")
+        with pytest.raises(ConfigError, match=r"'c' \(default, ln_T at T = 1\)"):
+            parse_config(write_cfg(tmp_path, default_c))
+        assert parse_config(write_cfg(tmp_path, one_round.replace(
+            "c = ln_T", "c = 1"))).policy_params["c"] == 1.0
+
     def test_inline_assignments_override_file(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL),
                            assignments=["epsilon=0.5", "trials=3"])

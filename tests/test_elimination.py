@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from mamab.elimination import assignment_value, brute_argmax, ve_argmax
+from mamab.elimination import assignment_value, brute_argmax, joint_totals, ve_argmax
 from mamab.hypergraph import Hypergraph, enumerate_joint
 
 from test_hypergraph import chain_groups, random_hypergraph
@@ -200,3 +200,49 @@ class TestNumericEdgeCases:
         h = Hypergraph(2, [2, 2], [[0, 1]])
         with pytest.raises(ValueError, match="finite"):
             brute_argmax(h, [0.0, float("nan"), 0.0, 0.0])
+
+    def test_ve_rejects_non_finite(self):
+        # a NaN used to come back as the argmax (0, 0); the best finite
+        # answer is (1, 0)
+        h = Hypergraph(2, [2, 2], [[0, 1]])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                ve_argmax(h, [bad, 1.0, 2.0, 0.5])
+
+
+class TestJointTotalsLayout:
+    """joint_totals lays the joint space out as one numpy axis per agent;
+    every cell must hold exactly the ascending-group sum that
+    assignment_value computes for the assignment at that joint index."""
+
+    def check_layout(self, h, scores):
+        totals = joint_totals(h, scores)
+        assert totals.shape == (h.num_joint_arms,)
+        for j, arms in enumerate(enumerate_joint(h)):
+            assert totals[j] == assignment_value(h, scores, arms)
+
+    def test_random_hypergraphs(self):
+        # shuffled members, single-arm agents and mixed arm counts
+        rng = random.Random(4242)
+        for _ in range(60):
+            h = random_hypergraph(rng, max_agents=7, max_arms=4)
+            if h.num_joint_arms > 4096:
+                continue
+            scores = [rng.gauss(0.0, 1.0) for _ in range(h.num_local_arms)]
+            self.check_layout(h, scores)
+
+    def test_many_single_arm_agents(self):
+        # 70 agents, 68 with one arm: more axes than numpy allows, unless
+        # the single-arm agents get none
+        arm_counts = [1] * 70
+        arm_counts[5] = 3
+        arm_counts[60] = 2
+        groups = [[i + 1, i] if i % 2 else [i, i + 1] for i in range(69)]
+        groups.append([60, 33, 5])
+        h = Hypergraph(70, arm_counts, groups)
+        with pytest.raises(ValueError):
+            np.zeros(h.arm_counts)
+        rng = random.Random(7)
+        scores = [rng.gauss(0.0, 1.0) for _ in range(h.num_local_arms)]
+        self.check_layout(h, scores)
+        assert brute_argmax(h, scores).argmax == ve_argmax(h, scores).argmax

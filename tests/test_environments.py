@@ -188,8 +188,10 @@ class TestLowerBoundEnvironment:
         for rho, L in [(1, 1), (1, 4), (2, 3), (3, 2), (2, 5)]:
             env = lower_bound_env(rho, L, 3.5, 0.5)
             cand = env.candidates
-            for _ in range(40):
-                scores = [rng.uniform(-2, 6) for _ in range(env.graph.num_local_arms)]
+            for it in range(80):
+                # odd iterations draw small integers, so decoys often tie
+                scores = [float(rng.randint(0, 2)) if it % 2 else rng.uniform(-2, 6)
+                          for _ in range(env.graph.num_local_arms)]
                 got_arms, got_value, _ = cand.argmax(scores)
                 best_arms, best_value = None, -math.inf
                 for arms in cand:
