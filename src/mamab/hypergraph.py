@@ -59,10 +59,14 @@ def _mixed_radix_weights(counts: Sequence[int]) -> tuple[int, ...]:
 class Hypergraph:
     """Agent/group structure with precomputed index maps.
 
-    The structure never changes after construction. The one mutation is
-    the VE schedule, derived from the structure alone and cached on the
-    first `ve_argmax` call; building it twice gives the same schedule, so
-    instances are safe to share across trial runners.
+    The structure never changes after construction. Two derived objects
+    are cached on it lazily: the VE schedule, on the first `ve_argmax`
+    call, and the compiled VE kernel, once the graph has been argmaxed
+    more than `elimination.COMPILE_AFTER` times. Both depend on the
+    structure alone, so concurrent first use is benign: at worst one is
+    built twice, with the same result (a lost update of the call count
+    only delays the compile), and instances are safe to share across
+    trial runners.
     """
 
     def __init__(self, num_agents: int, arm_counts: Sequence[int],
@@ -127,8 +131,11 @@ class Hypergraph:
             a *= k
         self.num_joint_arms = a
 
-        # elimination schedule, built lazily on first ve_argmax call
+        # elimination schedule, built lazily on the first ve_argmax call,
+        # and the compiled kernel, built once the graph has been reused
         self._ve_schedule = None
+        self._ve_calls = 0
+        self._ve_kernel = None
 
     def __repr__(self) -> str:
         return (f"Hypergraph(num_agents={self.num_agents}, "

@@ -1,10 +1,16 @@
+import ast
+import functools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from mamab.elimination import assignment_value, brute_argmax, joint_totals, ve_argmax
+from mamab import elimination
+from mamab.elimination import (
+    CHUNK_LINES, COMPILE_AFTER, DEFAULT_BRUTE_CAP, _build_schedule, _compile_kernel,
+    _interpret, _kernel_source, assignment_value, brute_argmax, joint_totals, ve_argmax)
 from mamab.hypergraph import Hypergraph, enumerate_joint
 
 from test_hypergraph import chain_groups, random_hypergraph
@@ -23,6 +29,16 @@ def exhaustive_argmax(h, scores):
             best_value = v
             best_arms = arms
     return best_arms, best_value
+
+
+def many_single_arm_graph():
+    # 70 agents, 68 with one arm
+    arm_counts = [1] * 70
+    arm_counts[5] = 3
+    arm_counts[60] = 2
+    groups = [[i + 1, i] if i % 2 else [i, i + 1] for i in range(69)]
+    groups.append([60, 33, 5])
+    return Hypergraph(70, arm_counts, groups)
 
 
 class TestSingleGroup:
@@ -206,8 +222,14 @@ class TestNumericEdgeCases:
         # answer is (1, 0)
         h = Hypergraph(2, [2, 2], [[0, 1]])
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match="contains non-finite entries"):
                 ve_argmax(h, [bad, 1.0, 2.0, 0.5])
+
+    def test_ve_names_an_overflowing_sum(self):
+        # every entry is finite; only their sum is not
+        h = Hypergraph(2, [2, 2], [[0, 1]])
+        with pytest.raises(ValueError, match="entries are finite, but their sum overflows"):
+            ve_argmax(h, [1e308, 1e308, 0.0, 0.0])
 
 
 class TestJointTotalsLayout:
@@ -232,17 +254,160 @@ class TestJointTotalsLayout:
             self.check_layout(h, scores)
 
     def test_many_single_arm_agents(self):
-        # 70 agents, 68 with one arm: more axes than numpy allows, unless
-        # the single-arm agents get none
-        arm_counts = [1] * 70
-        arm_counts[5] = 3
-        arm_counts[60] = 2
-        groups = [[i + 1, i] if i % 2 else [i, i + 1] for i in range(69)]
-        groups.append([60, 33, 5])
-        h = Hypergraph(70, arm_counts, groups)
+        # more axes than numpy allows, unless the single-arm agents get none
+        h = many_single_arm_graph()
         with pytest.raises(ValueError):
             np.zeros(h.arm_counts)
         rng = random.Random(7)
         scores = [rng.gauss(0.0, 1.0) for _ in range(h.num_local_arms)]
         self.check_layout(h, scores)
         assert brute_argmax(h, scores).argmax == ve_argmax(h, scores).argmax
+
+
+def star(m):
+    # agent m - 1 is the centre, so it is eliminated first and its merged
+    # table spans every agent
+    return Hypergraph(m, [2] * m, [[i, m - 1] for i in range(m - 1)])
+
+
+class TestCompiledKernel:
+    """The compiled kernel against the interpreter it replaces and the
+    brute-force oracle: the same argmax and a bitwise-equal value."""
+
+    def check(self, h, scores):
+        sched = _build_schedule(h)
+        kernel = _compile_kernel(sched, h.num_agents)
+        assert not isinstance(kernel, functools.partial)
+        arms, value = kernel(scores)
+        ref_arms, ref_value = _interpret(sched, h.num_agents, scores)
+        assert arms == ref_arms
+        assert value.hex() == ref_value.hex()
+        assert arms == brute_argmax(h, scores).argmax
+
+    @staticmethod
+    def compilable(h):
+        return (h.num_joint_arms <= 1 << 14
+                and _kernel_source(_build_schedule(h)) is not None)
+
+    def test_random_hypergraphs(self):
+        # shuffled (unsorted) members, single-arm agents, arm counts 1-4
+        rng = random.Random(9090)
+        checked = 0
+        for _ in range(300):
+            h = random_hypergraph(rng, max_agents=7, max_arms=4)
+            if not self.compilable(h):
+                continue
+            for _ in range(3):
+                self.check(h, [rng.uniform(-2.0, 2.0) for _ in range(h.num_local_arms)])
+            checked += 1
+        assert checked > 200
+
+    def test_many_single_arm_agents(self):
+        h = many_single_arm_graph()
+        rng = random.Random(70)
+        for _ in range(10):
+            self.check(h, [rng.gauss(0.0, 1.0) for _ in range(h.num_local_arms)])
+
+    def test_ties(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            h = random_hypergraph(rng, max_agents=6, max_arms=4)
+            if not self.compilable(h):
+                continue
+            n = h.num_local_arms
+            self.check(h, [0.0] * n)
+            self.check(h, [0.5] * n)
+            # decoys: few distinct values, so many assignments tie
+            self.check(h, [float(rng.choice((0, 1, 2))) for _ in range(n)])
+
+    def test_signed_zero_survives(self):
+        h = Hypergraph(2, [1, 1], [[0], [1]])
+        self.check(h, [-0.0, -0.0])
+
+    def test_multi_chunk_graphs(self):
+        # chain m=100 spans several forward chunks; m=150 also splits the
+        # backtrack, whose chunks read earlier agents' arms from A
+        rng = random.Random(100)
+        for m in (100, 150):
+            h = Hypergraph(m, [2] * m, chain_groups(m, 2))
+            forward, backward = _kernel_source(_build_schedule(h))
+            assert len(forward) > 1
+            assert len(backward) == (2 if m == 150 else 1)
+            sched = _build_schedule(h)
+            kernel = _compile_kernel(sched, m)
+            for _ in range(20):
+                scores = [rng.choice((0.0, 0.25, rng.random())) for _ in range(h.num_local_arms)]
+                arms, value = kernel(scores)
+                ref_arms, ref_value = _interpret(sched, m, scores)
+                assert arms == ref_arms
+                assert value.hex() == ref_value.hex()
+
+    def test_identical_across_the_switch(self):
+        rng = random.Random(33)
+        for h in (Hypergraph(8, [2, 3, 1, 2, 4, 2, 1, 3], [[1, 0], [2, 1, 3], [3, 4],
+                                                          [6, 5, 4], [7, 6], [0, 7]]),
+                  many_single_arm_graph()):
+            probe = [rng.choice((0.0, 1.0, rng.random())) for _ in range(h.num_local_arms)]
+            first = ve_argmax(h, probe)
+            assert h._ve_kernel is None
+            for _ in range(COMPILE_AFTER - 1):
+                ve_argmax(h, [rng.random() for _ in range(h.num_local_arms)])
+            assert h._ve_kernel is None
+            again = ve_argmax(h, probe)       # call COMPILE_AFTER + 1 compiles
+            assert h._ve_kernel is not None
+            assert not isinstance(h._ve_kernel, functools.partial)
+            assert again.argmax == first.argmax
+            assert again.value.hex() == first.value.hex()
+            assert again.op_count == first.op_count
+
+    def test_source_interpolates_only_schedule_integers(self):
+        rng = random.Random(5)
+        graphs = [random_hypergraph(rng, max_agents=7, max_arms=4) for _ in range(40)]
+        graphs = [h for h in graphs if self.compilable(h)]
+        graphs += [many_single_arm_graph(), Hypergraph(150, [2] * 150, chain_groups(150, 2))]
+        name = r"(s|T|G|A|v|[xg]\d+_?\d*|a\d+)"
+        for h in graphs:
+            forward, backward = _kernel_source(_build_schedule(h))
+            for text in forward + backward:
+                # the budget plus the stores and loads around its edges
+                assert len(text.splitlines()) <= 1 + CHUNK_LINES + h.num_agents
+                tree = ast.parse(text)
+                (fn,) = tree.body
+                assert fn.name in ("f", "b")
+                for node in ast.walk(tree):
+                    assert not isinstance(node, (ast.Call, ast.Attribute, ast.Import,
+                                                 ast.ImportFrom, ast.Lambda))
+                    if isinstance(node, ast.Constant):
+                        assert type(node.value) is int or (
+                            node.value == 0.0 and type(node.value) is float)
+                    if isinstance(node, ast.Name):
+                        assert re.fullmatch(name, node.id)
+
+
+class TestScheduleSize:
+    def test_star_with_late_centre_stays_interpreted(self):
+        h = star(16)
+        sched = _build_schedule(h)
+        assert max(step.merged_size for step in sched.steps) == 1 << 16
+        assert _kernel_source(sched) is None
+        h._ve_calls = COMPILE_AFTER          # the next call would compile
+        scores = [float(j % 5) for j in range(h.num_local_arms)]
+        res = ve_argmax(h, scores)
+        assert isinstance(h._ve_kernel, functools.partial)
+        assert res.argmax == brute_argmax(h, scores).argmax
+
+    def test_larger_star_refused_before_allocating(self, monkeypatch):
+        h = star(22)
+        build_map = elimination._cell_map
+
+        def capped_map(union_scope, union_counts, *rest):
+            # a table past the cap must never be laid out: its cell maps
+            # alone would take gigabytes
+            assert math.prod(union_counts) <= DEFAULT_BRUTE_CAP
+            return build_map(union_scope, union_counts, *rest)
+
+        monkeypatch.setattr(elimination, "_cell_map", capped_map)
+        with pytest.raises(ValueError, match=r"agent 21 merges a table of 4194304 cells"):
+            _build_schedule(h)
+        with pytest.raises(ValueError, match="exceeding the cap"):
+            ve_argmax(h, [0.0] * h.num_local_arms)

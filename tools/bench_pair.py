@@ -1,0 +1,174 @@
+"""Compare the benchmark on a parent commit and on the working tree.
+
+    python3 tools/bench_pair.py --parent HEAD --tag ve_kernel --pairs 10 --seed 1
+
+Run from the repository root. The parent commit is exported with
+`git archive` into a temporary directory (no worktree is registered).
+For every workload, pairs of `perfbench/run.py --trace 0` runs alternate
+between the parent tree and the working tree, the side that runs first
+alternating too, so slow phases of a shared machine fall on both sides.
+The result goes to BENCH_<tag>.json in the working tree: per workload
+and side, the median, quartiles and every run of each end-to-end
+metric, the pairs the working tree won, the checkpoint digests and the
+failed counts, with nproc and the load average around the runs.
+
+With --ve-costs the file also records, for every benchmark graph whose
+rounds use variable elimination, what the working tree's compiled VE
+kernel costs to build and how much faster it runs than the interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("acceptance_mix", "chain100_single", "restricted_first_pull", "brute_setup")
+LOWER_IS_BETTER = {"setup_s", "wall_s", "regret_final", "peak_rss_mb"}
+
+
+def export_tree(rev: str, dest: Path) -> str:
+    """Extract commit `rev` into `dest`; returns the full commit id."""
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `perfbench/run.py --trace 0` run in `tree`: its metrics,
+    digest and failed count."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {out.returncode}:\n{out.stderr}")
+    manifest = json.loads(lines[-2])["manifest"]
+    result = json.loads(lines[-1])
+    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "digest": manifest["digest"], "failed": result["failed"],
+            "attempted": result["attempted"]}
+
+
+def summarize(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare_pairs(workload: str, trees: dict, pairs: int, seed: int, seconds: float) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(trees[side], workload, seed, seconds))
+        print(f"{workload} pair {i + 1}/{pairs}: " + ", ".join(
+            f"{side} {runs[side][-1]['metrics']['rounds_per_s']:.0f} rounds/s"
+            for side in ("parent", "change")), file=sys.stderr)
+    out = {}
+    for side, side_runs in runs.items():
+        names = side_runs[0]["metrics"]
+        out[side] = {
+            "metrics": {n: summarize([r["metrics"][n] for r in side_runs]) for n in names},
+            "digests": sorted({r["digest"] for r in side_runs}),
+            "failed": sum(r["failed"] for r in side_runs),
+            "attempted": sum(r["attempted"] for r in side_runs),
+        }
+    wins = {}
+    for name in runs["parent"][0]["metrics"]:
+        sign = -1 if name in LOWER_IS_BETTER else 1
+        wins[name] = sum(sign * (c["metrics"][name] - p["metrics"][name]) > 0
+                         for p, c in zip(runs["parent"], runs["change"]))
+    out["change_wins_of_pairs"] = wins
+    return out
+
+
+def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
+    """Compile time of each VE-using benchmark graph's kernel, and the
+    best-of-`reps` time per call of the interpreter and of the kernel on
+    `calls` random score vectors, in the working tree."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from mamab import elimination
+    import workloads
+
+    graphs = {}
+    for wl in workloads.WORKLOADS.values():
+        for key, env in wl.build().items():
+            if env.candidates is None:
+                graphs[key] = env.graph
+    costs = {"compile_after": elimination.COMPILE_AFTER,
+             "chunk_lines": elimination.CHUNK_LINES, "graphs": {}}
+    for key, h in graphs.items():
+        sched = elimination._build_schedule(h)
+        start = time.perf_counter()
+        kernel = elimination._compile_kernel(sched, h.num_agents)
+        compile_s = time.perf_counter() - start
+        rng = random.Random(0)
+        vectors = [[rng.random() for _ in range(h.num_local_arms)] for _ in range(calls)]
+
+        def per_call(fn):
+            best = float("inf")
+            for _ in range(reps):
+                start = time.perf_counter()
+                for s in vectors:
+                    fn(s)
+                best = min(best, (time.perf_counter() - start) / calls)
+            return best
+
+        interp = per_call(lambda s: elimination._interpret(sched, h.num_agents, s))
+        fast = per_call(kernel)
+        costs["graphs"][key] = {
+            "compile_ms": compile_s * 1e3, "interpreted_us": interp * 1e6,
+            "kernel_us": fast * 1e6, "op_count": sched.op_count,
+            "break_even_calls": compile_s / (interp - fast)}
+    return costs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="commit to compare against")
+    parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
+    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--ve-costs", action="store_true")
+    args = parser.parse_args(argv)
+    if args.pairs < 5:
+        parser.error("at least 5 pairs")
+
+    report = {"command": "python3 perfbench/run.py --workload W --seed "
+                         f"{args.seed} --seconds {args.seconds:g} --trace 0",
+              "pairs": args.pairs,
+              "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                          "platform": platform.platform(), "loadavg_before": os.getloadavg()}}
+    with tempfile.TemporaryDirectory() as tmp:
+        report["parent"] = export_tree(args.parent, Path(tmp))
+        trees = {"parent": Path(tmp), "change": ROOT}
+        report["workloads"] = {w: compare_pairs(w, trees, args.pairs, args.seed, args.seconds)
+                               for w in args.workloads}
+    report["machine"]["loadavg_after"] = os.getloadavg()
+    if args.ve_costs:
+        report["ve_kernel"] = ve_kernel_costs()
+    path = ROOT / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
