@@ -155,13 +155,7 @@ def _read_config_file(path: str) -> dict:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise ConfigError(f"line {lineno}: expected 'key = value'")
-                key, value = parts
+            key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
             if not key or not value:
@@ -297,22 +291,27 @@ def emit_csv(traces: Sequence[RegretTrace], summary: ExperimentSummary,
 
 def read_summary_csv(path: str) -> ExperimentSummary:
     """Parse a summary CSV back into an ExperimentSummary (num_trials is
-    not stored in the file and is reported as 0)."""
+    not stored in the file and is reported as 0). A file without rows, or
+    with a non-finite value, is rejected: it has nothing to plot."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != SUMMARY_HEADER:
         raise ConfigError(f"{path}: not a summary CSV (bad header)")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: summary CSV has no rows")
     ts, means, stds = [], [], []
-    wall = draws = 0.0
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ConfigError(f"{path}: malformed row {ln!r}")
-        ts.append(int(parts[0]))
-        means.append(float(parts[1]))
-        stds.append(float(parts[2]))
-        wall = float(parts[3])
-        draws = float(parts[4])
+    for row, ln in enumerate(lines[1:], start=1):
+        t, *values = ln.split(",")
+        try:
+            t = int(t)
+            mean, std, wall, draws = map(float, values)
+        except ValueError:
+            raise ConfigError(f"{path}: row {row} ({ln!r}) is malformed") from None
+        if not all(map(math.isfinite, (mean, std, wall, draws))):
+            raise ConfigError(f"{path}: row {row} ({ln!r}) has a non-finite value")
+        ts.append(t)
+        means.append(mean)
+        stds.append(std)
     return ExperimentSummary(ts=tuple(ts), mean_cum_regret=tuple(means),
                              std_cum_regret=tuple(stds), mean_wall_ns=wall,
                              mean_gaussian_draws=draws, num_trials=0)

@@ -9,6 +9,13 @@ factors with the maximized table. After the last agent, backtracking
 through the stored maximizers reconstructs the arg-maximizing joint
 assignment.
 
+A schedule addresses one slot space. Slots 0 .. A_loc-1 are the score
+vector as it arrives, in `Hypergraph.flat_indices`' group order, so no
+leaf table is copied or permuted; each step's output table takes the
+next free slots. A step input is a column with the slot of every merged
+cell, built in C order over the union scope (a range where layouts
+coincide).
+
 Two paths run a schedule. The interpreter loops over its steps and
 cells. Once a graph has been argmaxed more than COMPILE_AFTER times, the
 schedule is emitted as loop-free Python source (one local per merged
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,87 +78,70 @@ class EliminationResult:
 # schedule construction (structure only, cached per hypergraph)
 # ---------------------------------------------------------------------
 
+@dataclass(slots=True)
 class _Step:
-    __slots__ = ("agent", "k", "inputs", "merged_size", "out_size",
-                 "out_id", "rest_scope", "rest_weights")
-
-    def __init__(self, agent, k, inputs, merged_size, out_size, out_id,
-                 rest_scope, rest_weights):
-        self.agent = agent
-        self.k = k
-        self.inputs = inputs          # list of (factor_id, cell_map or None)
-        self.merged_size = merged_size
-        self.out_size = out_size
-        self.out_id = out_id
-        self.rest_scope = rest_scope
-        self.rest_weights = rest_weights
+    agent: int
+    k: int
+    # (factor_id, column) per input: the slot of every merged cell, in the
+    # union's C order; a range when the factor's layout is the union's
+    inputs: list
+    merged_size: int
+    out_size: int
+    out_id: int
+    out_slot: int                 # first of the output table's slots
+    rest_scope: tuple
+    rest_weights: tuple
 
 
+@dataclass(slots=True)
 class _Schedule:
-    __slots__ = ("leaves", "steps", "num_factors", "scalar_ids", "op_count")
-
-    def __init__(self, leaves, steps, num_factors, scalar_ids, op_count):
-        self.leaves = leaves          # list of (offset, size, perm or None)
-        self.steps = steps
-        self.num_factors = num_factors
-        self.scalar_ids = scalar_ids
-        self.op_count = op_count
+    # slots 0 .. A_loc-1 hold the scores; step outputs follow in step order
+    steps: list
+    scalars: list                 # (factor_id, slot) of each scalar table
+    op_count: int
 
 
-def _cell_map(union_scope, union_counts, sub_scope, sub_weights):
-    """For each cell of the union-scope table (C order), the index of the
-    corresponding cell in the sub-scope table. None when the scopes are
-    identical, in which case the layouts coincide."""
+def _cell_map(union_scope, union_counts, sub_scope, sub_weights, base):
+    """For each cell of the union-scope table (C order), the slot of the
+    corresponding cell of the sub-scope table stored from slot `base`: a
+    range when the two layouts coincide. Otherwise the column is a C-order
+    outer product over the union, from [base], expanded once per agent by
+    its arms times its sub-table weight (0 outside the sub-scope). An int64
+    array holds it in 8 bytes a cell, where a list needs an int per slot > 256."""
     if tuple(sub_scope) == tuple(union_scope):
-        return None
-    pos = {agent: j for j, agent in enumerate(union_scope)}
-    union_weights = _mixed_radix_weights(union_counts)
-    size = 1
-    for k in union_counts:
-        size *= k
-    out = [0] * size
-    for cell in range(size):
-        idx = 0
-        for agent, w in zip(sub_scope, sub_weights):
-            j = pos[agent]
-            coord = (cell // union_weights[j]) % union_counts[j]
-            idx += coord * w
-        out[cell] = idx
-    return out
+        return range(base, base + math.prod(union_counts))
+    weight = dict(zip(sub_scope, sub_weights))
+    column = array("q", [base])
+    for agent, k in zip(union_scope, union_counts):
+        w = weight.get(agent, 0)
+        wider = array("q", [0]) * (len(column) * k)
+        for a in range(k):
+            wider[a::k] = array("q", [c + a * w for c in column]) if a * w else column
+        column = wider
+    return column
 
 
 def _build_schedule(h: Hypergraph) -> _Schedule:
-    scopes: dict[int, tuple[int, ...]] = {}
-    sizes: dict[int, int] = {}
-    leaves = []
-    for e, members in enumerate(h.groups):
-        scope = tuple(sorted(members))
-        counts = [h.arm_counts[i] for i in scope]
-        # leaf tables live in sorted-scope C order; the stored permutation
-        # maps each sorted-layout cell to its group-order flat offset
-        perm = _cell_map(scope, counts, members, h.group_weights[e])
-        leaves.append((h.local_offsets[e], h.group_sizes[e], perm))
-        scopes[e] = scope
-        sizes[e] = h.group_sizes[e]
-
-    alive = set(range(h.num_groups))
+    # alive factor id -> (scope in axis order, axis weights, first slot, size);
+    # the leaves are the groups' slices of the score vector, read in place
+    alive = {e: (members, h.group_weights[e], h.local_offsets[e], h.group_sizes[e])
+             for e, members in enumerate(h.groups)}
     next_id = h.num_groups
+    next_slot = h.num_local_arms
     steps = []
     op_count = 0
     for agent in range(h.num_agents - 1, -1, -1):
-        input_ids = [f for f in sorted(alive) if agent in scopes[f]]
+        input_ids = [f for f in sorted(alive) if agent in alive[f][0]]
         if not input_ids:
             # cannot happen: every agent is in a group, and factors touching
             # agent i survive until agent i's turn under descending order
             raise AssertionError(f"no factor contains agent {agent}")
-        union = sorted(set().union(*(scopes[f] for f in input_ids)))
+        union = sorted(set().union(*(alive[f][0] for f in input_ids)))
         # all later agents are already eliminated, so agent is the maximum
         # of the union and occupies the last (stride-1) axis
         assert union[-1] == agent
         union_counts = [h.arm_counts[i] for i in union]
-        merged_size = 1
-        for k in union_counts:
-            merged_size *= k
+        merged_size = math.prod(union_counts)
         if merged_size > DEFAULT_BRUTE_CAP:
             raise ValueError(
                 f"eliminating agent {agent} merges a table of {merged_size} cells "
@@ -158,27 +149,21 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
                 f"numbering hub agents first keeps the tables small")
         inputs = []
         for f in input_ids:
-            sub_scope = scopes[f]
-            sub_counts = [h.arm_counts[i] for i in sub_scope]
-            sub_weights = _mixed_radix_weights(sub_counts)
-            inputs.append((f, _cell_map(union, union_counts, sub_scope, sub_weights)))
-            op_count += sizes[f]
+            scope, weights, base, size = alive.pop(f)
+            inputs.append((f, _cell_map(union, union_counts, scope, weights, base)))
+            op_count += size
         k = h.arm_counts[agent]
         rest_scope = tuple(union[:-1])
-        rest_counts = [h.arm_counts[i] for i in rest_scope]
-        rest_weights = _mixed_radix_weights(rest_counts)
+        rest_weights = _mixed_radix_weights(union_counts[:-1])
         out_size = merged_size // k
         steps.append(_Step(agent, k, inputs, merged_size, out_size, next_id,
-                           rest_scope, rest_weights))
-        alive.difference_update(input_ids)
-        alive.add(next_id)
-        scopes[next_id] = rest_scope
-        sizes[next_id] = out_size
+                           next_slot, rest_scope, rest_weights))
+        alive[next_id] = (rest_scope, rest_weights, next_slot, out_size)
         next_id += 1
+        next_slot += out_size
 
-    scalar_ids = sorted(alive)
-    assert all(scopes[f] == () for f in scalar_ids)
-    return _Schedule(leaves, steps, next_id, scalar_ids, op_count)
+    assert all(alive[f][0] == () for f in alive)
+    return _Schedule(steps, [(f, alive[f][2]) for f in sorted(alive)], op_count)
 
 
 # ---------------------------------------------------------------------
@@ -189,23 +174,21 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
     """Loop-free source performing `sched`, as forward chunks
     `f(s, T, G)` (the last one returns the value) and backtrack chunks
     `b(G, A)` (each returns A extended by its agents' arms, agent 0
-    first), each about CHUNK_LINES lines. Locals hold the cells of one
-    chunk; T carries factor tables and G the per-step maximizers across
+    first), each about CHUNK_LINES lines. Leaf cells are read from `s`
+    in place; locals named by slot hold the step outputs of one chunk,
+    and T carries factor tables and G the per-step maximizers across
     chunks. Every literal is an integer from the schedule. None when a
     step's merged table exceeds CHUNK_LINES."""
     if any(step.merged_size > CHUNK_LINES for step in sched.steps):
         return None
-    num_leaves = len(sched.leaves)
-    sizes = {step.out_id: step.out_size for step in sched.steps}
+    tables = {step.out_id: range(step.out_slot, step.out_slot + step.out_size)
+              for step in sched.steps}
 
-    def ref(fid, idx):
-        if fid < num_leaves:
-            offset, _size, perm = sched.leaves[fid]
-            return f"s[{offset + (idx if perm is None else perm[idx])}]"
-        return f"x{fid}_{idx}"
+    def ref(fid, slot):
+        return f"x{slot}" if fid in tables else f"s[{slot}]"
 
     def cells(fid):
-        return "".join(f"x{fid}_{c}, " for c in range(sizes[fid]))
+        return "".join(f"x{c}, " for c in tables[fid])
 
     def chunk(header, lines):
         return header + "".join(f"\n    {line}" for line in lines) + "\n"
@@ -220,29 +203,28 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
             lines = []
             pending = set()
         for fid, _ in step.inputs:
-            if fid >= num_leaves and fid not in pending:
+            if fid in tables and fid not in pending:
                 lines.append(f"{cells(fid)}= T[{fid}]")
             pending.discard(fid)
         k = step.k
-        out = step.out_id
         for r in range(step.out_size):
-            terms = [" + ".join(ref(fid, c if cmap is None else cmap[c])
-                                for fid, cmap in step.inputs)
+            terms = [" + ".join(ref(fid, col[c]) for fid, col in step.inputs)
                      for c in range(r * k, r * k + k)]
+            out = f"x{step.out_slot + r}"
             if k == 1:
-                lines.append(f"x{out}_{r} = {terms[0]}")
+                lines.append(f"{out} = {terms[0]}")
                 continue
             # strict > keeps the smallest maximizing arm, as the interpreter does
-            lines.append(f"x{out}_{r} = {terms[0]}; g{r} = 0")
-            lines += [f"if (v := {terms[a]}) > x{out}_{r}: x{out}_{r} = v; g{r} = {a}"
+            lines.append(f"{out} = {terms[0]}; g{r} = 0")
+            lines += [f"if (v := {terms[a]}) > {out}: {out} = v; g{r} = {a}"
                       for a in range(1, k)]
         if k > 1:
             lines.append(f"G[{j}] = ({''.join(f'g{r}, ' for r in range(step.out_size))})")
-        pending.add(out)
-    for fid in sched.scalar_ids:
+        pending.add(step.out_id)
+    for fid, _ in sched.scalars:
         if fid not in pending:
             lines.append(f"{cells(fid)}= T[{fid}]")
-    lines.append("return 0.0" + "".join(f" + x{fid}_0" for fid in sched.scalar_ids))
+    lines.append("return 0.0" + "".join(f" + x{slot}" for _, slot in sched.scalars))
     forward.append(chunk("def f(s, T, G):", lines))
 
     backward = []
@@ -289,11 +271,10 @@ def _compile_kernel(sched: _Schedule, num_agents: int):
 
     *head, last = [load(text) for text in source[0]]
     backward = [load(text) for text in source[1]]
-    num_tables = sched.num_factors
     num_steps = len(sched.steps)
 
     def kernel(s):
-        T = [None] * num_tables
+        T = {}
         G = [None] * num_steps
         for f in head:
             f(s, T, G)
@@ -312,29 +293,18 @@ def _compile_kernel(sched: _Schedule, num_agents: int):
 def _interpret(sched: _Schedule, num_agents: int, scores: list) -> tuple[JointAssignment, float]:
     """Run the schedule's loops over `scores`: the reference the compiled
     kernel reproduces bit for bit."""
-    tables: list = [None] * sched.num_factors
-    for fid, (offset, size, perm) in enumerate(sched.leaves):
-        if perm is None:
-            tables[fid] = scores[offset:offset + size]
-        else:
-            tables[fid] = [scores[offset + p] for p in perm]
-
+    slots = scores[:]         # output tables are appended; the caller's list stays
     choices = []
     for step in sched.steps:
-        fid0, map0 = step.inputs[0]
-        t0 = tables[fid0]
-        if map0 is None:
-            merged = list(t0)
-        else:
-            merged = [t0[c] for c in map0]
-        for fid, cmap in step.inputs[1:]:
-            tf = tables[fid]
-            if cmap is None:
-                for c in range(step.merged_size):
-                    merged[c] += tf[c]
+        col = step.inputs[0][1]
+        merged = slots[col.start:col.stop] if type(col) is range else [slots[c] for c in col]
+        for _, col in step.inputs[1:]:
+            if type(col) is range:
+                for c, v in enumerate(slots[col.start:col.stop]):
+                    merged[c] += v
             else:
-                for c in range(step.merged_size):
-                    merged[c] += tf[cmap[c]]
+                for c, slot in enumerate(col):
+                    merged[c] += slots[slot]
         k = step.k
         out = [0.0] * step.out_size
         arg = [0] * step.out_size
@@ -350,12 +320,12 @@ def _interpret(sched: _Schedule, num_agents: int, scores: list) -> tuple[JointAs
             out[r] = best
             arg[r] = best_a
             pos += k
-        tables[step.out_id] = out
+        slots += out
         choices.append(arg)
 
     value = 0.0
-    for fid in sched.scalar_ids:
-        value += tables[fid][0]
+    for _, slot in sched.scalars:
+        value += slots[slot]
 
     arms = [0] * num_agents
     for step, arg in zip(reversed(sched.steps), reversed(choices)):

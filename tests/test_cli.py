@@ -126,6 +126,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate key 'T'"):
             parse_config(path)
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        # `key value` separated by whitespace is not a config line
+        path = write_cfg(tmp_path, MINIMAL + "log_every 100\n")
+        with pytest.raises(ConfigError, match="line 11: expected 'key = value'"):
+            parse_config(path)
+
     def test_oracle_mode_policy_optional(self, tmp_path):
         text = "env = bernoulli_chain\nm = 4\nd = 2\nT = 10\ntrials = 1\nseed = 0\n"
         cfg = parse_config(write_cfg(tmp_path, text), need_policy=False)
@@ -211,6 +217,29 @@ class TestEmitCsv:
         assert abs(back.mean_gaussian_draws
                    - result.summary.mean_gaussian_draws) <= 5e-7
         assert abs(back.mean_wall_ns - result.summary.mean_wall_ns) <= 5e-7
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.summary.csv"
+        for column in range(1, 5):
+            row = ["5", "1.0", "0.5", "0", "0"]
+            row[column] = bad
+            path.write_text(f"{SUMMARY_HEADER}\n1,0.5,0.1,0,0\n{','.join(row)}\n")
+            with pytest.raises(ConfigError, match=rf"bad\.summary\.csv: row 2 .*non-finite"):
+                read_summary_csv(str(path))
+
+    @pytest.mark.parametrize("bad", ["x,1.0,0.5,0,0", "5,1.0,0.5,0", "5,1.0,0.5,0,0,0", "5,a,0.5,0,0"])
+    def test_malformed_row_named(self, tmp_path, bad):
+        path = tmp_path / "bad.summary.csv"
+        path.write_text(f"{SUMMARY_HEADER}\n{bad}\n")
+        with pytest.raises(ConfigError, match=r"bad\.summary\.csv: row 1 .* is malformed"):
+            read_summary_csv(str(path))
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.summary.csv"
+        path.write_text(SUMMARY_HEADER + "\n")
+        with pytest.raises(ConfigError, match=r"empty\.summary\.csv: summary CSV has no rows"):
+            read_summary_csv(str(path))
 
     def test_timing_zeroed_by_default(self, tmp_path):
         result = small_experiment()
@@ -358,6 +387,15 @@ class TestMainCommands:
         rc = main(["plot", out + ".summary.csv", "--out",
                    str(tmp_path / "c.svg"), "--labels", "a,b"])
         assert rc == 1
+
+    @pytest.mark.parametrize("rows", ["", "5,1.0,nan,0,0\n"])
+    def test_plot_rejects_empty_or_non_finite_summary(self, tmp_path, capsys, rows):
+        path = tmp_path / "s.summary.csv"
+        path.write_text(SUMMARY_HEADER + "\n" + rows)
+        svg = tmp_path / "c.svg"
+        assert main(["plot", str(path), "--out", str(svg)]) == 1
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_oracle_bernoulli_m10(self, capsys):
         rc = main(["oracle", "--set", "env=bernoulli_chain", "--set", "m=10",

@@ -1,5 +1,6 @@
 import ast
 import functools
+import itertools
 import math
 import random
 import re
@@ -382,6 +383,53 @@ class TestCompiledKernel:
                             node.value == 0.0 and type(node.value) is float)
                     if isinstance(node, ast.Name):
                         assert re.fullmatch(name, node.id)
+
+
+class TestSlotSpace:
+    """Schedules read the score vector in place: slots 0 .. A_loc-1 are
+    the scores in group order, and each step output takes the next free
+    slots."""
+
+    def test_columns_match_decoded_assignments(self):
+        # shuffled (unsorted) members and single-arm agents; every merged
+        # cell's union assignment is decoded by itertools.product
+        rng = random.Random(4242)
+        for _ in range(200):
+            h = random_hypergraph(rng, max_agents=6, max_arms=4)
+            sched = _build_schedule(h)
+            # factor id -> (scope, weights, first slot) of every table
+            tables = {e: (members, h.group_weights[e], h.local_offsets[e])
+                      for e, members in enumerate(h.groups)}
+            next_slot = h.num_local_arms
+            for step in sched.steps:
+                union = step.rest_scope + (step.agent,)
+                assert step.out_slot == next_slot
+                for fid, col in step.inputs:
+                    scope, weights, base = tables.pop(fid)
+                    cells = list(itertools.product(*(range(h.arm_counts[i]) for i in union)))
+                    assert len(col) == len(cells) == step.merged_size
+                    for slot, arms in zip(col, cells):
+                        arm_of = dict(zip(union, arms))
+                        assert slot == base + sum(arm_of[i] * w for i, w in zip(scope, weights))
+                    assert isinstance(col, range) == (tuple(scope) == union)
+                tables[step.out_id] = (step.rest_scope, step.rest_weights, step.out_slot)
+                next_slot += step.out_size
+            assert sched.scalars == [(f, tables[f][2]) for f in sorted(tables)]
+
+    def test_score_list_left_unchanged(self):
+        rng = random.Random(8)
+        for h in (Hypergraph(5, [2, 3, 1, 2, 2], [[1, 0], [2, 1, 3], [4, 3], [0, 4]]),
+                  many_single_arm_graph()):
+            for call in range(COMPILE_AFTER + 3):      # both paths
+                scores = [rng.random() for _ in range(h.num_local_arms)]
+                before = list(scores)
+                ve_argmax(h, scores)
+                assert scores == before, f"call {call + 1}"
+            assert h._ve_kernel is not None
+            sched = h._ve_schedule
+            for run in (functools.partial(_interpret, sched, h.num_agents), h._ve_kernel):
+                run(scores)
+                assert scores == before
 
 
 class TestScheduleSize:

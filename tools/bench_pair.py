@@ -100,7 +100,8 @@ def compare_pairs(workload: str, trees: dict, pairs: int, seed: int, seconds: fl
 def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
     """Compile time of each VE-using benchmark graph's kernel, and the
     best-of-`reps` time per call of the interpreter and of the kernel on
-    `calls` random score vectors, in the working tree."""
+    `calls` random score vectors, in the working tree. Break-even calls
+    are None for a graph whose kernel is not faster."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from mamab import elimination
     import workloads
@@ -134,7 +135,8 @@ def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
         costs["graphs"][key] = {
             "compile_ms": compile_s * 1e3, "interpreted_us": interp * 1e6,
             "kernel_us": fast * 1e6, "op_count": sched.op_count,
-            "break_even_calls": compile_s / (interp - fast)}
+            # a kernel no faster than the interpreter never pays back its compile
+            "break_even_calls": compile_s / (interp - fast) if interp > fast else None}
     return costs
 
 
