@@ -27,8 +27,16 @@ which argmaxes a graph once or twice, never pays it) and the fallback
 for graphs with a merged table over CHUNK_LINES cells.
 The kernel adds the same floats in the same order and starts the value
 at 0.0 as the interpreter does, so both paths give bit-identical results.
-`_build_schedule` refuses a graph whose merged table would exceed
-DEFAULT_BRUTE_CAP cells before allocating it.
+The emitter that cuts the source into chunks, the compile step with
+empty builtins and the compile-once cache on the graph are shared with
+the flat-index kernel. They live in `hypergraph` (`_Emitter`, `_load`,
+`Hypergraph._compile_on_reuse`), together with COMPILE_AFTER and
+CHUNK_LINES, which this module re-exports.
+
+`_build_schedule` keeps an index from each agent to the alive factors
+that hold it, so on graphs of bounded scope its cost grows linearly with
+the number of agents. It refuses a graph whose merged table would exceed DEFAULT_BRUTE_CAP cells
+before allocating it.
 
 `brute_argmax` is the independent oracle: full enumeration of the joint
 space. Both share the same tie-break, smallest mixed-radix joint index,
@@ -54,17 +62,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, JointAssignment, _mixed_radix_weights
+# COMPILE_AFTER and CHUNK_LINES belong to the compile layer both kernels
+# share, in `hypergraph`; they are re-exported here
+from .hypergraph import (CHUNK_LINES, COMPILE_AFTER, Hypergraph, JointAssignment,
+                         _Emitter, _load, _mixed_radix_weights)
 
 DEFAULT_BRUTE_CAP = 1 << 20
-
-# a graph argmaxed more than COMPILE_AFTER times gets a compiled kernel:
-# compiling costs as much as 60-130 interpreted calls on the benchmark
-# graphs, and environment set-up argmaxes each graph only once or twice
-COMPILE_AFTER = 32
-# lines per compiled chunk function; a graph with a merged table larger
-# than this stays on the interpreter
-CHUNK_LINES = 120
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,17 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
     # the leaves are the groups' slices of the score vector, read in place
     alive = {e: (members, h.group_weights[e], h.local_offsets[e], h.group_sizes[e])
              for e, members in enumerate(h.groups)}
+    # agent -> ids of the alive factors whose scope holds it
+    holding = [set() for _ in range(h.num_agents)]
+    for e, members in enumerate(h.groups):
+        for i in members:
+            holding[i].add(e)
     next_id = h.num_groups
     next_slot = h.num_local_arms
     steps = []
     op_count = 0
     for agent in range(h.num_agents - 1, -1, -1):
-        input_ids = [f for f in sorted(alive) if agent in alive[f][0]]
+        input_ids = sorted(holding[agent])
         if not input_ids:
             # cannot happen: every agent is in a group, and factors touching
             # agent i survive until agent i's turn under descending order
@@ -150,6 +158,8 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
         inputs = []
         for f in input_ids:
             scope, weights, base, size = alive.pop(f)
+            for i in scope:
+                holding[i].discard(f)
             inputs.append((f, _cell_map(union, union_counts, scope, weights, base)))
             op_count += size
         k = h.arm_counts[agent]
@@ -159,6 +169,8 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
         steps.append(_Step(agent, k, inputs, merged_size, out_size, next_id,
                            next_slot, rest_scope, rest_weights))
         alive[next_id] = (rest_scope, rest_weights, next_slot, out_size)
+        for i in rest_scope:
+            holding[i].add(next_id)
         next_id += 1
         next_slot += out_size
 
@@ -190,17 +202,12 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
     def cells(fid):
         return "".join(f"x{c}, " for c in tables[fid])
 
-    def chunk(header, lines):
-        return header + "".join(f"\n    {line}" for line in lines) + "\n"
-
-    forward = []
-    lines = []
+    forward = _Emitter("def f(s, T, G):")
+    lines = forward.lines
     pending = set()        # tables of the open chunk no step has consumed yet
     for j, step in enumerate(sched.steps):
-        if lines and len(lines) + step.merged_size + 1 + len(step.inputs) > CHUNK_LINES:
-            lines += [f"T[{fid}] = ({cells(fid)})" for fid in sorted(pending)]
-            forward.append(chunk("def f(s, T, G):", lines))
-            lines = []
+        if not forward.fits(step.merged_size + 1 + len(step.inputs)):
+            forward.close(*(f"T[{fid}] = ({cells(fid)})" for fid in sorted(pending)))
             pending = set()
         for fid, _ in step.inputs:
             if fid in tables and fid not in pending:
@@ -224,20 +231,17 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
     for fid, _ in sched.scalars:
         if fid not in pending:
             lines.append(f"{cells(fid)}= T[{fid}]")
-    lines.append("return 0.0" + "".join(f" + x{slot}" for _, slot in sched.scalars))
-    forward.append(chunk("def f(s, T, G):", lines))
+    forward.close("return 0.0" + "".join(f" + x{slot}" for _, slot in sched.scalars))
 
-    backward = []
-    lines = []
+    backward = _Emitter("def b(G, A):")
+    lines = backward.lines
     first = 0              # lowest agent of the open chunk
     loaded = set()         # agents of earlier chunks read into locals
     for j in range(len(sched.steps) - 1, -1, -1):
         step = sched.steps[j]
         agent = step.agent
-        if lines and len(lines) + 1 + len(step.rest_scope) > CHUNK_LINES:
-            lines.append(f"return A + ({''.join(f'a{i}, ' for i in range(first, agent))})")
-            backward.append(chunk("def b(G, A):", lines))
-            lines = []
+        if not backward.fits(1 + len(step.rest_scope)):
+            backward.close(f"return A + ({''.join(f'a{i}, ' for i in range(first, agent))})")
             first = agent
             loaded = set()
         if step.k == 1:
@@ -251,26 +255,19 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
                          for i, w in zip(step.rest_scope, step.rest_weights))
         lines.append(f"a{agent} = G[{j}][{ctx or 0}]")
     last = sched.steps[0].agent + 1
-    lines.append(f"return A + ({''.join(f'a{i}, ' for i in range(first, last))})")
-    backward.append(chunk("def b(G, A):", lines))
-    return forward, backward
+    backward.close(f"return A + ({''.join(f'a{i}, ' for i in range(first, last))})")
+    return forward.chunks, backward.chunks
 
 
 def _compile_kernel(sched: _Schedule, num_agents: int):
-    """scores -> (arms, value), computed by compiling `_kernel_source`
-    one chunk at a time, which bounds the compiler's memory. Falls back
-    to the interpreter when the schedule has no kernel source."""
+    """scores -> (arms, value), computed by the functions `_kernel_source`
+    emits. Falls back to the interpreter when the schedule has no kernel
+    source."""
     source = _kernel_source(sched)
     if source is None:
         return functools.partial(_interpret, sched, num_agents)
-
-    def load(text):
-        names = {}
-        exec(compile(text, "<ve kernel>", "exec"), {"__builtins__": {}}, names)
-        return names.popitem()[1]
-
-    *head, last = [load(text) for text in source[0]]
-    backward = [load(text) for text in source[1]]
+    *head, last = _load(source[0], "<ve kernel>")
+    backward = _load(source[1], "<ve kernel>")
     num_steps = len(sched.steps)
 
     def kernel(s):
@@ -361,11 +358,10 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
         sched = h._ve_schedule
         if sched is None:
             sched = h._ve_schedule = _build_schedule(h)
-        h._ve_calls += 1
-        if h._ve_calls <= COMPILE_AFTER:
+        kernel = h._compile_on_reuse("ve", lambda: _compile_kernel(sched, h.num_agents))
+        if kernel is None:
             arms, value = _interpret(sched, h.num_agents, scores)
             return EliminationResult(arms, value, sched.op_count)
-        kernel = h._ve_kernel = _compile_kernel(sched, h.num_agents)
     arms, value = kernel(scores)
     return EliminationResult(arms, value, h._ve_schedule.op_count)
 

@@ -161,6 +161,8 @@ def first_optimal_pull(env: Environment, cfg: PolicyConfig, horizon: int,
     """
     if cfg.kind != "eps_mats":
         raise ValueError("first_optimal_pull expects an eps_mats policy")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     optimal = env.optimal_assignment
     for t, arms, _flat in _rounds(env, cfg, horizon, seed):
         if arms == optimal:
@@ -172,6 +174,8 @@ def median_first_optimal_pull(env: Environment, cfg: PolicyConfig, horizon: int,
                               base_seed: int, trials: int) -> float:
     """Median over trials, counting a never-pulled optimum as horizon + 1
     (a right-censored observation)."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     values = []
     for i in range(trials):
         hit = first_optimal_pull(env, cfg, horizon, base_seed + i)

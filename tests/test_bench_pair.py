@@ -1,5 +1,6 @@
 """Smoke tests of tools/bench_pair.py's --ve-costs report, which reaches
-into the VE schedule internals that nothing else outside tests runs."""
+into the VE schedule and flat-kernel internals that nothing else outside
+tests runs."""
 
 import importlib.util
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mamab import elimination
+from mamab.hypergraph import Hypergraph
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
 
@@ -42,3 +44,25 @@ def test_no_break_even_for_a_slower_kernel(bench_pair, monkeypatch):
     monkeypatch.setattr(elimination, "_compile_kernel", slow_kernel)
     costs = bench_pair.ve_kernel_costs(reps=1, calls=2)
     assert all(graph["break_even_calls"] is None for graph in costs["graphs"].values())
+
+
+def test_flat_costs_cover_every_graph(bench_pair):
+    costs = bench_pair.flat_kernel_costs(reps=1, calls=2)
+    # every benchmark graph, the restricted-action ones included
+    assert {"rho1", "rho2", "rho4"} <= set(costs)
+    assert set(bench_pair.ve_kernel_costs(reps=1, calls=2)["graphs"]) < set(costs)
+    for key, graph in costs.items():
+        assert graph["groups"] > 0, key
+        assert graph["break_even_calls"] is None or graph["break_even_calls"] > 0, key
+
+
+def test_no_flat_break_even_for_a_slower_kernel(bench_pair, monkeypatch):
+    def slow_compile(h):
+        def kernel(arms):
+            time.sleep(0.02)
+            return h._flat_loop(arms)
+        return kernel
+
+    monkeypatch.setattr(Hypergraph, "_compile_flat", slow_compile)
+    costs = bench_pair.flat_kernel_costs(reps=1, calls=2)
+    assert all(graph["break_even_calls"] is None for graph in costs.values())

@@ -1,9 +1,7 @@
-import ast
 import functools
 import itertools
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from mamab.elimination import (
     _interpret, _kernel_source, assignment_value, brute_argmax, joint_totals, ve_argmax)
 from mamab.hypergraph import Hypergraph, enumerate_joint
 
-from test_hypergraph import chain_groups, random_hypergraph
+from test_hypergraph import assert_integer_literals_only, chain_groups, random_hypergraph
 
 
 def exhaustive_argmax(h, scores):
@@ -372,17 +370,7 @@ class TestCompiledKernel:
             for text in forward + backward:
                 # the budget plus the stores and loads around its edges
                 assert len(text.splitlines()) <= 1 + CHUNK_LINES + h.num_agents
-                tree = ast.parse(text)
-                (fn,) = tree.body
-                assert fn.name in ("f", "b")
-                for node in ast.walk(tree):
-                    assert not isinstance(node, (ast.Call, ast.Attribute, ast.Import,
-                                                 ast.ImportFrom, ast.Lambda))
-                    if isinstance(node, ast.Constant):
-                        assert type(node.value) is int or (
-                            node.value == 0.0 and type(node.value) is float)
-                    if isinstance(node, ast.Name):
-                        assert re.fullmatch(name, node.id)
+                assert_integer_literals_only(text, ("f", "b"), name)
 
 
 class TestSlotSpace:
@@ -415,6 +403,22 @@ class TestSlotSpace:
                 tables[step.out_id] = (step.rest_scope, step.rest_weights, step.out_slot)
                 next_slot += step.out_size
             assert sched.scalars == [(f, tables[f][2]) for f in sorted(tables)]
+
+    def test_inputs_are_the_alive_factors_holding_the_agent(self):
+        # each step consumes, in ascending id order, exactly the factors
+        # still alive whose scope holds its agent, found by a literal scan
+        rng = random.Random(5150)
+        for _ in range(200):
+            h = random_hypergraph(rng, max_agents=7, max_arms=4)
+            sched = _build_schedule(h)
+            scopes = dict(enumerate(h.groups))
+            for step in sched.steps:
+                expected = [f for f in sorted(scopes) if step.agent in scopes[f]]
+                assert [fid for fid, _ in step.inputs] == expected
+                for fid in expected:
+                    del scopes[fid]
+                scopes[step.out_id] = step.rest_scope
+            assert sorted(scopes) == [fid for fid, _ in sched.scalars]
 
     def test_score_list_left_unchanged(self):
         rng = random.Random(8)

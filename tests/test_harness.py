@@ -8,6 +8,7 @@ from mamab.environments import chain_env, gem_mining_env, lower_bound_env
 from mamab.harness import (
     ExperimentSpec,
     first_optimal_pull,
+    median_first_optimal_pull,
     run_experiment,
     run_trial,
     summarize,
@@ -190,6 +191,33 @@ class TestFirstOptimalPull:
         env = lower_bound_env(1, 1, 3.5, 0.5)
         with pytest.raises(ValueError):
             first_optimal_pull(env, PolicyConfig("random"), 10, 0)
+
+    def test_rejects_horizon_below_one(self):
+        # a horizon of 0 used to return None, which reads as "never pulled"
+        env = lower_bound_env(1, 1, 3.5, 0.5)
+        cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
+        for horizon in (0, -5):
+            with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+                first_optimal_pull(env, cfg, horizon, 0)
+            with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+                median_first_optimal_pull(env, cfg, horizon, 0, 3)
+
+    def test_median_rejects_trials_below_one(self):
+        # trials=0 used to return nan with a numpy RuntimeWarning
+        env = lower_bound_env(1, 1, 3.5, 0.5)
+        cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+                median_first_optimal_pull(env, cfg, 10, 0, trials)
+
+    def test_median_counts_censored_as_horizon_plus_one(self):
+        env = lower_bound_env(2, 0, 3.5, 5.0)
+        cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
+        assert median_first_optimal_pull(env, cfg, 10, 0, 3) == 1.0
+        env = lower_bound_env(3, 40, 3.5, 0.5)
+        hits = [first_optimal_pull(env, cfg, 3, seed) for seed in range(3)]
+        expected = float(np.median([4.0 if h is None else float(h) for h in hits]))
+        assert median_first_optimal_pull(env, cfg, 3, 0, 3) == expected
 
     def test_median_orders_with_group_count(self, lb_medians):
         # more groups delay the first optimal pull; censored trials count

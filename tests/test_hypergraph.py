@@ -1,9 +1,16 @@
+import ast
 import itertools
 import random
+import re
 
 import pytest
 
+from mamab import hypergraph
+from mamab.environments import chain_env
+from mamab.harness import run_trial
 from mamab.hypergraph import (
+    CHUNK_LINES,
+    COMPILE_AFTER,
     AgentOutOfRangeError,
     DuplicateAgentError,
     EmptyGroupError,
@@ -13,6 +20,7 @@ from mamab.hypergraph import (
     ZeroArmCountError,
     enumerate_joint,
 )
+from mamab.policies import PolicyConfig
 
 
 def chain_groups(m, d):
@@ -209,19 +217,114 @@ class TestIndexingProperties:
             assert len(set(assignments)) == expected
 
     def test_flat_indices_agree_with_reference(self):
-        # Horner evaluation of each group's digits, first member most
-        # significant, plus the running sum of group table sizes
         rng = random.Random(42)
         for _ in range(30):
             h = random_hypergraph(rng)
             arms = tuple(rng.randrange(k) for k in h.arm_counts)
-            expected = []
-            offset = 0
-            for members in h.groups:
-                within, size = 0, 1
-                for i in members:
-                    within = within * h.arm_counts[i] + arms[i]
-                    size *= h.arm_counts[i]
-                expected.append(offset + within)
-                offset += size
-            assert h.flat_indices(arms) == expected
+            assert h.flat_indices(arms) == horner_flat(h, arms)
+
+
+def horner_flat(h, arms):
+    """Reference flat indices: Horner evaluation of each group's digits,
+    first member most significant, plus the running sum of group table
+    sizes."""
+    expected = []
+    offset = 0
+    for members in h.groups:
+        within, size = 0, 1
+        for i in members:
+            within = within * h.arm_counts[i] + arms[i]
+            size *= h.arm_counts[i]
+        expected.append(offset + within)
+        offset += size
+    return expected
+
+
+def assert_integer_literals_only(text, functions, names):
+    """An emitted kernel chunk defines one function named in `functions`;
+    it calls nothing, reaches no attribute, imports nothing, uses only
+    names matching the regex `names`, and every literal in it is an
+    integer (or the 0.0 a VE value starts from). Shared by the checks of
+    both emitted kernels."""
+    tree = ast.parse(text)
+    (fn,) = tree.body
+    assert fn.name in functions
+    for node in ast.walk(tree):
+        assert not isinstance(node, (ast.Call, ast.Attribute, ast.Import,
+                                     ast.ImportFrom, ast.Lambda))
+        if isinstance(node, ast.Constant):
+            assert type(node.value) is int or (
+                node.value == 0.0 and type(node.value) is float)
+        if isinstance(node, ast.Name):
+            assert re.fullmatch(names, node.id)
+
+
+@pytest.fixture
+def loaded_chunks(monkeypatch):
+    """The source chunks of every kernel compiled while the test runs, one
+    list per compiled kernel."""
+    loaded = []
+    load = hypergraph._load
+
+    def spy(chunks, filename):
+        loaded.append(chunks)
+        return load(chunks, filename)
+
+    monkeypatch.setattr(hypergraph, "_load", spy)
+    return loaded
+
+
+class TestFlatKernel:
+    """The compiled flat-index kernel against the Horner reference and
+    the loop it replaces."""
+
+    def test_random_hypergraphs(self):
+        # shuffled (unsorted) members, single-arm agents, arm counts 1-4
+        rng = random.Random(2024)
+        for _ in range(300):
+            h = random_hypergraph(rng, max_agents=7, max_arms=4)
+            kernel = h._compile_flat()
+            for _ in range(3):
+                arms = [rng.randrange(k) for k in h.arm_counts]
+                expected = horner_flat(h, arms)
+                assert kernel(arms) == expected
+                assert kernel(tuple(arms)) == expected
+                assert h._flat_loop(arms) == expected
+
+    def test_identical_across_the_switch(self):
+        rng = random.Random(31)
+        h = Hypergraph(6, [2, 3, 1, 4, 2, 3], [[1, 0], [2, 1, 3], [3, 4], [5, 4, 0], [5]])
+        probe = (1, 2, 0, 3, 1, 2)
+        first = h.flat_indices(probe)
+        for _ in range(COMPILE_AFTER - 1):
+            h.flat_indices(tuple(rng.randrange(k) for k in h.arm_counts))
+        assert h._flat_kernel is None
+        assert h.flat_indices(probe) == first      # call COMPILE_AFTER + 1 compiles
+        assert h._flat_kernel is not None
+        assert first == horner_flat(h, probe)
+
+    def test_many_groups_split_into_chunks(self, loaded_chunks):
+        rng = random.Random(300)
+        for m, num_chunks in ((100, 1), (300, 3)):
+            h = Hypergraph(m, [2] * m, chain_groups(m, 2))
+            kernel = h._compile_flat()
+            assert len(loaded_chunks[-1]) == num_chunks
+            for _ in range(20):
+                arms = tuple(rng.randrange(2) for _ in range(m))
+                assert kernel(arms) == horner_flat(h, arms)
+
+    def test_graph_used_only_by_random_policy_compiles(self):
+        env = chain_env(10, 2, "bernoulli")
+        run_trial(env, PolicyConfig("random"), COMPILE_AFTER + 8, 0, 10)
+        assert env.graph._flat_kernel is not None
+        assert env.graph._ve_schedule is None and env.graph._ve_kernel is None
+
+    def test_source_interpolates_only_layout_integers(self, loaded_chunks):
+        rng = random.Random(6)
+        graphs = [random_hypergraph(rng, max_agents=7, max_arms=4) for _ in range(40)]
+        graphs.append(Hypergraph(300, [3] * 300, chain_groups(300, 2)))
+        for h in graphs:
+            h._compile_flat()
+        for text in itertools.chain.from_iterable(loaded_chunks):
+            assert len(text.splitlines()) <= 1 + CHUNK_LINES
+            assert_integer_literals_only(text, ("f",), r"A")

@@ -14,7 +14,9 @@ failed counts, with nproc and the load average around the runs.
 
 With --ve-costs the file also records, for every benchmark graph whose
 rounds use variable elimination, what the working tree's compiled VE
-kernel costs to build and how much faster it runs than the interpreter.
+kernel costs to build and how much faster it runs than the interpreter;
+and for every benchmark graph, restricted-action ones included, the same
+for the compiled flat-index kernel against the loop it replaces.
 """
 
 from __future__ import annotations
@@ -97,46 +99,81 @@ def compare_pairs(workload: str, trees: dict, pairs: int, seed: int, seconds: fl
     return out
 
 
-def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
-    """Compile time of each VE-using benchmark graph's kernel, and the
-    best-of-`reps` time per call of the interpreter and of the kernel on
-    `calls` random score vectors, in the working tree. Break-even calls
-    are None for a graph whose kernel is not faster."""
+def best_per_call(fn, inputs: list, reps: int) -> float:
+    """Best-of-`reps` seconds per call of `fn` over `inputs`."""
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        for x in inputs:
+            fn(x)
+        best = min(best, (time.perf_counter() - start) / len(inputs))
+    return best
+
+
+def break_even(compile_s: float, slow_s: float, fast_s: float) -> float | None:
+    """Calls after which a kernel has paid back its compile; None for a
+    kernel no faster than the loop it replaces, which never does."""
+    return compile_s / (slow_s - fast_s) if slow_s > fast_s else None
+
+
+def benchmark_graphs() -> dict:
+    """Every benchmark environment's graph, keyed by workload environment
+    key, with whether its rounds use variable elimination."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from mamab import elimination
     import workloads
 
     graphs = {}
     for wl in workloads.WORKLOADS.values():
         for key, env in wl.build().items():
-            if env.candidates is None:
-                graphs[key] = env.graph
+            graphs[key] = (env.graph, env.candidates is None)
+    return graphs
+
+
+def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
+    """Best-of-`reps` compile time of each VE-using benchmark graph's
+    kernel, and time per call of the interpreter and of the kernel on
+    `calls` random score vectors, in the working tree. Break-even calls
+    are None for a graph whose kernel is not faster."""
+    graphs = benchmark_graphs()
+    from mamab import elimination
+
     costs = {"compile_after": elimination.COMPILE_AFTER,
              "chunk_lines": elimination.CHUNK_LINES, "graphs": {}}
-    for key, h in graphs.items():
+    for key, (h, uses_ve) in graphs.items():
+        if not uses_ve:
+            continue
         sched = elimination._build_schedule(h)
-        start = time.perf_counter()
         kernel = elimination._compile_kernel(sched, h.num_agents)
-        compile_s = time.perf_counter() - start
+        compile_s = best_per_call(lambda _: elimination._compile_kernel(sched, h.num_agents),
+                                  [None], reps)
         rng = random.Random(0)
         vectors = [[rng.random() for _ in range(h.num_local_arms)] for _ in range(calls)]
-
-        def per_call(fn):
-            best = float("inf")
-            for _ in range(reps):
-                start = time.perf_counter()
-                for s in vectors:
-                    fn(s)
-                best = min(best, (time.perf_counter() - start) / calls)
-            return best
-
-        interp = per_call(lambda s: elimination._interpret(sched, h.num_agents, s))
-        fast = per_call(kernel)
+        interp = best_per_call(lambda s: elimination._interpret(sched, h.num_agents, s),
+                               vectors, reps)
+        fast = best_per_call(kernel, vectors, reps)
         costs["graphs"][key] = {
             "compile_ms": compile_s * 1e3, "interpreted_us": interp * 1e6,
             "kernel_us": fast * 1e6, "op_count": sched.op_count,
-            # a kernel no faster than the interpreter never pays back its compile
-            "break_even_calls": compile_s / (interp - fast) if interp > fast else None}
+            "break_even_calls": break_even(compile_s, interp, fast)}
+    return costs
+
+
+def flat_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
+    """Best-of-`reps` compile time of every benchmark graph's flat-index
+    kernel, and time per call of the loop and of the kernel on `calls`
+    random assignments, in the working tree. Break-even calls are None
+    for a graph whose kernel is not faster."""
+    costs = {}
+    for key, (h, _) in benchmark_graphs().items():
+        kernel = h._compile_flat()
+        compile_s = best_per_call(lambda _: h._compile_flat(), [None], reps)
+        rng = random.Random(0)
+        assignments = [tuple(rng.randrange(k) for k in h.arm_counts) for _ in range(calls)]
+        loop = best_per_call(h._flat_loop, assignments, reps)
+        fast = best_per_call(kernel, assignments, reps)
+        costs[key] = {
+            "compile_ms": compile_s * 1e3, "loop_us": loop * 1e6, "kernel_us": fast * 1e6,
+            "groups": h.num_groups, "break_even_calls": break_even(compile_s, loop, fast)}
     return costs
 
 
@@ -166,6 +203,7 @@ def main(argv=None) -> int:
     report["machine"]["loadavg_after"] = os.getloadavg()
     if args.ve_costs:
         report["ve_kernel"] = ve_kernel_costs()
+        report["flat_kernel"] = flat_kernel_costs()
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
