@@ -429,16 +429,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base_out = None
+    # every value's config is parsed before the first run, so a bad value
+    # anywhere in the list writes no file
+    configs = {}
     for value in args.values.split(","):
         value = value.strip()
         if not value:
             raise ConfigError("empty value in --values")
-        assignments = list(args.set) + [f"{args.param}={value}"]
-        cfg = parse_config(args.config, assignments)
-        if base_out is None:
-            base_out = cfg.out_prefix
-        cfg.out_prefix = f"{base_out}.{args.param}_{value}"
+        if value in configs:
+            raise ConfigError(f"duplicate value {value!r} in --values")
+        configs[value] = parse_config(args.config, list(args.set) + [f"{args.param}={value}"])
+    for value, cfg in configs.items():
+        cfg.out_prefix = f"{cfg.out_prefix}.{args.param}_{value}"
         print(f"[sweep] {args.param}={value}")
         _run_one(cfg, args.record_timing)
     return 0

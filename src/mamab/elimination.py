@@ -12,9 +12,11 @@ assignment.
 A schedule addresses one slot space. Slots 0 .. A_loc-1 are the score
 vector as it arrives, in `Hypergraph.flat_indices`' group order, so no
 leaf table is copied or permuted; each step's output table takes the
-next free slots. A step input is a column with the slot of every merged
-cell, built in C order over the union scope (a range where layouts
-coincide).
+next free slots. A table's first slot is unique and rises in creation
+order, so it is the table's name: a step input is a bare column with the
+slot of every merged cell, built in C order over the union scope (a
+range where layouts coincide), and its table is `col[0]`. Slots below
+A_loc are leaves, the rest step outputs.
 
 Two paths run a schedule. The interpreter loops over its steps and
 cells. Once a graph has been argmaxed more than COMPILE_AFTER times, the
@@ -27,11 +29,11 @@ which argmaxes a graph once or twice, never pays it) and the fallback
 for graphs with a merged table over CHUNK_LINES cells.
 The kernel adds the same floats in the same order and starts the value
 at 0.0 as the interpreter does, so both paths give bit-identical results.
-The emitter that cuts the source into chunks, the compile step with
-empty builtins and the compile-once cache on the graph are shared with
-the flat-index kernel. They live in `hypergraph` (`_Emitter`, `_load`,
-`Hypergraph._compile_on_reuse`), together with COMPILE_AFTER and
-CHUNK_LINES, which this module re-exports.
+`_Emitter`, which cuts the source into chunks, lives here with its one
+user. The compile step with empty builtins (`_load`), COMPILE_AFTER and
+CHUNK_LINES are shared with the flat-index kernel and live in
+`hypergraph`; this module re-exports the two constants. Each path keeps
+its own plain call count on the graph (`_ve_calls` here).
 
 `_build_schedule` keeps an index from each agent to the alive factors
 that hold it, so on graphs of bounded scope its cost grows linearly with
@@ -62,10 +64,8 @@ from typing import Sequence
 
 import numpy as np
 
-# COMPILE_AFTER and CHUNK_LINES belong to the compile layer both kernels
-# share, in `hypergraph`; they are re-exported here
 from .hypergraph import (CHUNK_LINES, COMPILE_AFTER, Hypergraph, JointAssignment,
-                         _Emitter, _load, _mixed_radix_weights)
+                         _load, _mixed_radix_weights)
 
 DEFAULT_BRUTE_CAP = 1 << 20
 
@@ -85,12 +85,12 @@ class EliminationResult:
 class _Step:
     agent: int
     k: int
-    # (factor_id, column) per input: the slot of every merged cell, in the
-    # union's C order; a range when the factor's layout is the union's
+    # one column per input table: the slot of every merged cell, in the
+    # union's C order (a range when the table's layout is the union's);
+    # cell 0 is the table's first slot, col[0], which names the table
     inputs: list
     merged_size: int
     out_size: int
-    out_id: int
     out_slot: int                 # first of the output table's slots
     rest_scope: tuple
     rest_weights: tuple
@@ -98,9 +98,10 @@ class _Step:
 
 @dataclass(slots=True)
 class _Schedule:
-    # slots 0 .. A_loc-1 hold the scores; step outputs follow in step order
+    # slots 0 .. A_loc-1 hold the scores; step outputs follow in step order,
+    # so a table's first slot is unique and rises in creation order
     steps: list
-    scalars: list                 # (factor_id, slot) of each scalar table
+    scalars: list                 # slot of each scalar table, ascending
     op_count: int
 
 
@@ -125,26 +126,25 @@ def _cell_map(union_scope, union_counts, sub_scope, sub_weights, base):
 
 
 def _build_schedule(h: Hypergraph) -> _Schedule:
-    # alive factor id -> (scope in axis order, axis weights, first slot, size);
+    # alive table's first slot -> (scope in axis order, axis weights, size);
     # the leaves are the groups' slices of the score vector, read in place
-    alive = {e: (members, h.group_weights[e], h.local_offsets[e], h.group_sizes[e])
+    alive = {h.local_offsets[e]: (members, h.group_weights[e], h.group_sizes[e])
              for e, members in enumerate(h.groups)}
-    # agent -> ids of the alive factors whose scope holds it
+    # agent -> first slots of the alive tables whose scope holds it
     holding = [set() for _ in range(h.num_agents)]
-    for e, members in enumerate(h.groups):
+    for base, (members, _, _) in alive.items():
         for i in members:
-            holding[i].add(e)
-    next_id = h.num_groups
+            holding[i].add(base)
     next_slot = h.num_local_arms
     steps = []
     op_count = 0
     for agent in range(h.num_agents - 1, -1, -1):
-        input_ids = sorted(holding[agent])
-        if not input_ids:
+        bases = sorted(holding[agent])
+        if not bases:
             # cannot happen: every agent is in a group, and factors touching
             # agent i survive until agent i's turn under descending order
             raise AssertionError(f"no factor contains agent {agent}")
-        union = sorted(set().union(*(alive[f][0] for f in input_ids)))
+        union = sorted(set().union(*(alive[b][0] for b in bases)))
         # all later agents are already eliminated, so agent is the maximum
         # of the union and occupies the last (stride-1) axis
         assert union[-1] == agent
@@ -156,66 +156,90 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
                 f"over agents {union}, exceeding the cap {DEFAULT_BRUTE_CAP}; "
                 f"numbering hub agents first keeps the tables small")
         inputs = []
-        for f in input_ids:
-            scope, weights, base, size = alive.pop(f)
+        for base in bases:
+            scope, weights, size = alive.pop(base)
             for i in scope:
-                holding[i].discard(f)
-            inputs.append((f, _cell_map(union, union_counts, scope, weights, base)))
+                holding[i].discard(base)
+            inputs.append(_cell_map(union, union_counts, scope, weights, base))
             op_count += size
         k = h.arm_counts[agent]
         rest_scope = tuple(union[:-1])
         rest_weights = _mixed_radix_weights(union_counts[:-1])
         out_size = merged_size // k
-        steps.append(_Step(agent, k, inputs, merged_size, out_size, next_id,
-                           next_slot, rest_scope, rest_weights))
-        alive[next_id] = (rest_scope, rest_weights, next_slot, out_size)
+        steps.append(_Step(agent, k, inputs, merged_size, out_size, next_slot,
+                           rest_scope, rest_weights))
+        alive[next_slot] = (rest_scope, rest_weights, out_size)
         for i in rest_scope:
-            holding[i].add(next_id)
-        next_id += 1
+            holding[i].add(next_slot)
         next_slot += out_size
 
-    assert all(alive[f][0] == () for f in alive)
-    return _Schedule(steps, [(f, alive[f][2]) for f in sorted(alive)], op_count)
+    assert all(alive[b][0] == () for b in alive)
+    return _Schedule(steps, sorted(alive), op_count)
 
 
 # ---------------------------------------------------------------------
 # compiled kernel (straight-line source emitted from a schedule)
 # ---------------------------------------------------------------------
 
+class _Emitter:
+    """Loop-free kernel source, cut into functions of about CHUNK_LINES
+    lines that each start with `header`, so that `_load` compiles one
+    chunk at a time, which bounds the compiler's memory."""
+
+    def __init__(self, header: str):
+        self.header = header
+        self.lines: list[str] = []
+        self.chunks: list[str] = []
+
+    def fits(self, n: int) -> bool:
+        """Whether `n` more lines fit the open chunk; an empty one takes any."""
+        return not self.lines or len(self.lines) + n <= CHUNK_LINES
+
+    def close(self, *tail: str) -> None:
+        """End the open chunk with the lines `tail`. `lines` is emptied in
+        place, so an emitter may hold on to it across chunks."""
+        self.lines += tail
+        self.chunks.append(self.header + "".join(f"\n    {line}" for line in self.lines) + "\n")
+        self.lines.clear()
+
+
 def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
     """Loop-free source performing `sched`, as forward chunks
     `f(s, T, G)` (the last one returns the value) and backtrack chunks
     `b(G, A)` (each returns A extended by its agents' arms, agent 0
-    first), each about CHUNK_LINES lines. Leaf cells are read from `s`
-    in place; locals named by slot hold the step outputs of one chunk,
-    and T carries factor tables and G the per-step maximizers across
-    chunks. Every literal is an integer from the schedule. None when a
-    step's merged table exceeds CHUNK_LINES."""
+    first), each about CHUNK_LINES lines. A table is named by its first
+    slot: slots below A_loc are leaf cells, read from `s` in place; local
+    `x<slot>` holds a step output's cell within one chunk, T carries
+    output tables across chunks keyed by first slot, and G the per-step
+    maximizers. Every literal is an integer from the schedule. None when
+    a step's merged table exceeds CHUNK_LINES."""
     if any(step.merged_size > CHUNK_LINES for step in sched.steps):
         return None
-    tables = {step.out_id: range(step.out_slot, step.out_slot + step.out_size)
+    leaves = sched.steps[0].out_slot          # A_loc: the first output slot
+    tables = {step.out_slot: range(step.out_slot, step.out_slot + step.out_size)
               for step in sched.steps}
 
-    def ref(fid, slot):
-        return f"x{slot}" if fid in tables else f"s[{slot}]"
+    def ref(slot):
+        return f"x{slot}" if slot >= leaves else f"s[{slot}]"
 
-    def cells(fid):
-        return "".join(f"x{c}, " for c in tables[fid])
+    def cells(base):
+        return "".join(f"x{c}, " for c in tables[base])
 
     forward = _Emitter("def f(s, T, G):")
     lines = forward.lines
     pending = set()        # tables of the open chunk no step has consumed yet
     for j, step in enumerate(sched.steps):
         if not forward.fits(step.merged_size + 1 + len(step.inputs)):
-            forward.close(*(f"T[{fid}] = ({cells(fid)})" for fid in sorted(pending)))
+            forward.close(*(f"T[{base}] = ({cells(base)})" for base in sorted(pending)))
             pending = set()
-        for fid, _ in step.inputs:
-            if fid in tables and fid not in pending:
-                lines.append(f"{cells(fid)}= T[{fid}]")
-            pending.discard(fid)
+        for col in step.inputs:
+            base = col[0]
+            if base >= leaves and base not in pending:
+                lines.append(f"{cells(base)}= T[{base}]")
+            pending.discard(base)
         k = step.k
         for r in range(step.out_size):
-            terms = [" + ".join(ref(fid, col[c]) for fid, col in step.inputs)
+            terms = [" + ".join(ref(col[c]) for col in step.inputs)
                      for c in range(r * k, r * k + k)]
             out = f"x{step.out_slot + r}"
             if k == 1:
@@ -227,11 +251,11 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
                       for a in range(1, k)]
         if k > 1:
             lines.append(f"G[{j}] = ({''.join(f'g{r}, ' for r in range(step.out_size))})")
-        pending.add(step.out_id)
-    for fid, _ in sched.scalars:
-        if fid not in pending:
-            lines.append(f"{cells(fid)}= T[{fid}]")
-    forward.close("return 0.0" + "".join(f" + x{slot}" for _, slot in sched.scalars))
+        pending.add(step.out_slot)
+    for slot in sched.scalars:
+        if slot not in pending:
+            lines.append(f"{cells(slot)}= T[{slot}]")
+    forward.close("return 0.0" + "".join(f" + x{slot}" for slot in sched.scalars))
 
     backward = _Emitter("def b(G, A):")
     lines = backward.lines
@@ -293,9 +317,9 @@ def _interpret(sched: _Schedule, num_agents: int, scores: list) -> tuple[JointAs
     slots = scores[:]         # output tables are appended; the caller's list stays
     choices = []
     for step in sched.steps:
-        col = step.inputs[0][1]
+        col = step.inputs[0]
         merged = slots[col.start:col.stop] if type(col) is range else [slots[c] for c in col]
-        for _, col in step.inputs[1:]:
+        for col in step.inputs[1:]:
             if type(col) is range:
                 for c, v in enumerate(slots[col.start:col.stop]):
                     merged[c] += v
@@ -321,7 +345,7 @@ def _interpret(sched: _Schedule, num_agents: int, scores: list) -> tuple[JointAs
         choices.append(arg)
 
     value = 0.0
-    for _, slot in sched.scalars:
+    for slot in sched.scalars:
         value += slots[slot]
 
     arms = [0] * num_agents
@@ -358,10 +382,11 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
         sched = h._ve_schedule
         if sched is None:
             sched = h._ve_schedule = _build_schedule(h)
-        kernel = h._compile_on_reuse("ve", lambda: _compile_kernel(sched, h.num_agents))
-        if kernel is None:
+        h._ve_calls += 1
+        if h._ve_calls <= COMPILE_AFTER:
             arms, value = _interpret(sched, h.num_agents, scores)
             return EliminationResult(arms, value, sched.op_count)
+        kernel = h._ve_kernel = _compile_kernel(sched, h.num_agents)
     arms, value = kernel(scores)
     return EliminationResult(arms, value, h._ve_schedule.op_count)
 

@@ -23,13 +23,15 @@ from typing import Callable, Iterator, Sequence
 
 JointAssignment = tuple[int, ...]
 
-# a graph used more than COMPILE_AFTER times on one path compiles that
-# path's kernel: compiling costs about 30-130 calls of the loop it
-# replaces on the benchmark graphs, and environment set-up uses each
-# graph only once or twice
+# COMPILE_AFTER, CHUNK_LINES and `_load` are what the flat kernel here and
+# the VE kernel in `elimination` share. A graph used more than COMPILE_AFTER
+# times on one path compiles that path's kernel: compiling costs about
+# 30-130 calls of the loop it replaces on the benchmark graphs, and
+# environment set-up uses each graph only once or twice
 COMPILE_AFTER = 32
-# lines per compiled chunk function; a VE schedule with a merged table
-# larger than this stays on the interpreter
+# lines (flat kernel: groups) per compiled chunk function, which bounds the
+# compiler's memory; a VE schedule with a merged table larger than this
+# stays on the interpreter
 CHUNK_LINES = 120
 
 
@@ -65,30 +67,6 @@ def _mixed_radix_weights(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(weights)
 
 
-class _Emitter:
-    """Loop-free source for a compiled kernel, cut into functions of about
-    CHUNK_LINES lines that each start with `header`, so that `_load` can
-    compile one chunk at a time, which bounds the compiler's memory. Both
-    kernels, the flat-index kernel here and the VE kernel in
-    `elimination`, are emitted through it."""
-
-    def __init__(self, header: str):
-        self.header = header
-        self.lines: list[str] = []
-        self.chunks: list[str] = []
-
-    def fits(self, n: int) -> bool:
-        """Whether `n` more lines fit the open chunk; an empty one takes any."""
-        return not self.lines or len(self.lines) + n <= CHUNK_LINES
-
-    def close(self, *tail: str) -> None:
-        """End the open chunk with the lines `tail`. `lines` is emptied in
-        place, so an emitter may hold on to it across chunks."""
-        self.lines += tail
-        self.chunks.append(self.header + "".join(f"\n    {line}" for line in self.lines) + "\n")
-        self.lines.clear()
-
-
 def _load(chunks: list[str], filename: str) -> list[Callable]:
     """The function each chunk of emitted source defines, compiled with
     empty builtins, so the source reaches nothing but its arguments."""
@@ -104,16 +82,17 @@ class Hypergraph:
     """Agent/group structure with precomputed index maps.
 
     The structure never changes after construction. Three derived objects
-    are cached on it lazily: the VE schedule, on the first `ve_argmax`
-    call; the compiled VE kernel, once the graph has been argmaxed more
-    than COMPILE_AFTER times; and the compiled flat-index kernel, once
-    `flat_indices` has been called more than COMPILE_AFTER times. Each
-    kernel has its own call count, so a graph that is only ever indexed
-    (under the `random` policy) still compiles its flat kernel. All three
-    depend on the structure alone, so concurrent first use is benign: at
-    worst one is built twice, with the same result (a lost update of a
-    call count only delays the compile), and instances are safe to share
-    across trial runners.
+    are cached on it lazily: the VE schedule (`_ve_schedule`), on the
+    first `ve_argmax` call; the compiled VE kernel (`_ve_kernel`), once the
+    graph has been argmaxed more than COMPILE_AFTER times; and the compiled
+    flat-index kernel (`_flat_kernel`), once `flat_indices` has been called
+    more than COMPILE_AFTER times. Each path counts its uncompiled calls in
+    a plain attribute of its own (`_ve_calls`, `_flat_calls`), so a graph
+    that is only ever indexed (under the `random` policy) still compiles
+    its flat kernel. All three depend on the structure alone, so concurrent
+    first use is benign: at worst one is built twice, with the same result
+    (a lost update of a call count only delays the compile), and instances
+    are safe to share across trial runners.
     """
 
     def __init__(self, num_agents: int, arm_counts: Sequence[int],
@@ -206,9 +185,12 @@ class Hypergraph:
         order. No validation; this is the hot path. The first
         COMPILE_AFTER calls on a graph loop over its groups; the next
         compiles the graph's flat kernel, which every later call runs."""
-        kernel = self._flat_kernel or self._compile_on_reuse("flat", self._compile_flat)
+        kernel = self._flat_kernel
         if kernel is None:
-            return self._flat_loop(arms)
+            self._flat_calls += 1
+            if self._flat_calls <= COMPILE_AFTER:
+                return self._flat_loop(arms)
+            kernel = self._flat_kernel = self._compile_flat()
         return kernel(arms)
 
     def _flat_loop(self, arms: Sequence[int]) -> list[int]:
@@ -225,20 +207,19 @@ class Hypergraph:
 
     def _compile_flat(self) -> Callable[[Sequence[int]], list[int]]:
         """`flat_indices` as loop-free functions `f(A)` returning
-        `[o_e + A[i] * w + A[j], ...]`, one term per group and about
-        CHUNK_LINES groups per function. Every literal is an integer
-        of the graph's layout; chunks are concatenated in group order."""
-        src = _Emitter("def f(A):")
+        `[o_e + A[i] * w + A[j], ...]`, one term per group and CHUNK_LINES
+        groups per function. Every literal is an integer of the graph's
+        layout; chunks are concatenated in group order."""
+        terms = []
         for members, weights, offset in zip(self.groups, self.group_weights,
                                             self.local_offsets):
-            terms = [str(offset)] if offset else []
-            terms += [f"A[{i}]" if w == 1 else f"A[{i}] * {w}"
-                      for i, w in zip(members, weights)]
-            if not src.fits(2):        # the term and the closing bracket
-                src.close("]")
-            src.lines.append(("" if src.lines else "return [") + " + ".join(terms) + ",")
-        src.close("]")
-        chunks = _load(src.chunks, "<flat kernel>")
+            term = [str(offset)] if offset else []
+            term += [f"A[{i}]" if w == 1 else f"A[{i}] * {w}"
+                     for i, w in zip(members, weights)]
+            terms.append(" + ".join(term))
+        parts = [terms[c:c + CHUNK_LINES] for c in range(0, len(terms), CHUNK_LINES)]
+        chunks = _load(["def f(A): return [" + ",".join(f"\n    {t}" for t in part) + "]\n"
+                        for part in parts], "<flat kernel>")
         if len(chunks) == 1:
             return chunks[0]
 
@@ -247,21 +228,6 @@ class Hypergraph:
             for f in chunks:
                 out += f(arms)
             return out
-        return kernel
-
-    # -- compile-once cache ----------------------------------------------
-
-    def _compile_on_reuse(self, path: str, build: Callable[[], Callable]) -> Callable | None:
-        """The compile-once cache both kernels share. Counts one call of
-        `path` ("ve" or "flat") that found no kernel in `_<path>_calls`;
-        the call after COMPILE_AFTER caches build() as `_<path>_kernel`
-        and returns it. Earlier calls return None and run the loop."""
-        calls = getattr(self, f"_{path}_calls") + 1
-        setattr(self, f"_{path}_calls", calls)
-        if calls <= COMPILE_AFTER:
-            return None
-        kernel = build()
-        setattr(self, f"_{path}_kernel", kernel)
         return kernel
 
 

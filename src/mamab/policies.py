@@ -27,7 +27,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .elimination import ve_argmax
-from .hypergraph import Hypergraph, JointAssignment
+from .hypergraph import Hypergraph, JointAssignment, validate_assignment
 
 POLICY_KINDS = ("eps_mats", "ucb_baseline", "random")
 
@@ -160,8 +160,10 @@ def update_stats(stats: LocalArmStats, h: Hypergraph, arms: Sequence[int],
                  rewards: Sequence[float]) -> LocalArmStats:
     """Fold one round of observed local rewards into the running means:
     mu_hat[j] <- (n[j] * mu_hat[j] + reward_e) / (n[j] + 1), n[j] += 1
-    for the flat index j each group touched. Mutates and returns stats.
+    for the flat index j each group touched. Mutates and returns stats;
+    an invalid `arms` or `rewards` raises ValueError before any change.
     """
+    validate_assignment(h, arms)
     if len(rewards) != h.num_groups:
         raise ValueError(
             f"reward vector has length {len(rewards)}, expected {h.num_groups}")

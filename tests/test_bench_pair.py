@@ -32,6 +32,18 @@ def test_ve_costs_cover_every_graph(bench_pair):
     for key, graph in costs["graphs"].items():
         assert graph["op_count"] > 0, key
         assert graph["break_even_calls"] is None or graph["break_even_calls"] > 0, key
+        # every benchmark graph's merged tables fit a chunk, so all compile
+        assert 0 < graph["max_merged"] <= elimination.CHUNK_LINES, key
+        assert graph["compiles"] is True, key
+
+
+def test_ve_costs_flag_a_graph_that_stays_interpreted(bench_pair, monkeypatch):
+    # a star whose centre is eliminated first merges all 8 agents: 256 cells
+    star = Hypergraph(8, [2] * 8, [[i, 7] for i in range(7)])
+    monkeypatch.setattr(bench_pair, "benchmark_graphs", lambda: {"star8": (star, True)})
+    (graph,) = bench_pair.ve_kernel_costs(reps=1, calls=2)["graphs"].values()
+    assert graph["max_merged"] == 256
+    assert graph["compiles"] is False
 
 
 def test_no_break_even_for_a_slower_kernel(bench_pair, monkeypatch):

@@ -372,6 +372,21 @@ class TestMainCommands:
             assert (tmp_path / f"sw.epsilon_{v}.trials.csv").exists()
             assert (tmp_path / f"sw.epsilon_{v}.summary.csv").exists()
 
+    @pytest.mark.parametrize("values, message", [
+        ("0.5,,1.0", "empty value in --values"),
+        ("0.5,7", "epsilon"),
+        ("0.5,0.5", "duplicate value '0.5' in --values"),
+    ])
+    def test_failing_sweep_writes_no_file(self, tmp_path, capsys, values, message):
+        # the bad value comes after a good one, which must not run either
+        rc = main(["sweep"] + self.BASE
+                  + ["--out", str(tmp_path / "sw"), "--param", "epsilon", "--values", values])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "[sweep]" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_from_run_output(self, tmp_path, capsys):
         out = str(tmp_path / "exp")
         main(["run"] + self.BASE + ["--out", out])

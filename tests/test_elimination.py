@@ -385,40 +385,42 @@ class TestSlotSpace:
         for _ in range(200):
             h = random_hypergraph(rng, max_agents=6, max_arms=4)
             sched = _build_schedule(h)
-            # factor id -> (scope, weights, first slot) of every table
-            tables = {e: (members, h.group_weights[e], h.local_offsets[e])
+            # first slot -> (scope, weights) of every alive table; popping by
+            # col[0] raises if a column names no alive table
+            tables = {h.local_offsets[e]: (members, h.group_weights[e])
                       for e, members in enumerate(h.groups)}
             next_slot = h.num_local_arms
             for step in sched.steps:
                 union = step.rest_scope + (step.agent,)
                 assert step.out_slot == next_slot
-                for fid, col in step.inputs:
-                    scope, weights, base = tables.pop(fid)
+                for col in step.inputs:
+                    base = col[0]
+                    scope, weights = tables.pop(base)
                     cells = list(itertools.product(*(range(h.arm_counts[i]) for i in union)))
                     assert len(col) == len(cells) == step.merged_size
                     for slot, arms in zip(col, cells):
                         arm_of = dict(zip(union, arms))
                         assert slot == base + sum(arm_of[i] * w for i, w in zip(scope, weights))
                     assert isinstance(col, range) == (tuple(scope) == union)
-                tables[step.out_id] = (step.rest_scope, step.rest_weights, step.out_slot)
+                tables[step.out_slot] = (step.rest_scope, step.rest_weights)
                 next_slot += step.out_size
-            assert sched.scalars == [(f, tables[f][2]) for f in sorted(tables)]
+            assert sched.scalars == sorted(tables)
 
     def test_inputs_are_the_alive_factors_holding_the_agent(self):
-        # each step consumes, in ascending id order, exactly the factors
-        # still alive whose scope holds its agent, found by a literal scan
+        # each step consumes, in ascending first-slot order, exactly the
+        # tables still alive whose scope holds its agent, found by a literal scan
         rng = random.Random(5150)
         for _ in range(200):
             h = random_hypergraph(rng, max_agents=7, max_arms=4)
             sched = _build_schedule(h)
-            scopes = dict(enumerate(h.groups))
+            scopes = dict(zip(h.local_offsets, h.groups))
             for step in sched.steps:
-                expected = [f for f in sorted(scopes) if step.agent in scopes[f]]
-                assert [fid for fid, _ in step.inputs] == expected
-                for fid in expected:
-                    del scopes[fid]
-                scopes[step.out_id] = step.rest_scope
-            assert sorted(scopes) == [fid for fid, _ in sched.scalars]
+                expected = [b for b in sorted(scopes) if step.agent in scopes[b]]
+                assert [col[0] for col in step.inputs] == expected
+                for b in expected:
+                    del scopes[b]
+                scopes[step.out_slot] = step.rest_scope
+            assert sorted(scopes) == sched.scalars
 
     def test_score_list_left_unchanged(self):
         rng = random.Random(8)

@@ -258,6 +258,18 @@ class TestUpdateStats:
         with pytest.raises(ValueError):
             update_stats(stats, h, (0, 0), [0.1, 0.2])
 
+    @pytest.mark.parametrize("arms", [(0, 2), (-1, 1), (1, 1, 7), (1,)])
+    def test_invalid_arms_rejected_without_change(self, arms):
+        # (0, 2) and (-1, 1) would otherwise land on the flat indices of
+        # (1, 0) and (1, 1); (1, 1, 7) names an agent the graph lacks
+        h = Hypergraph(2, [2, 2], [[0, 1]])
+        stats = LocalArmStats.fresh(h.num_local_arms)
+        update_stats(stats, h, (1, 0), [0.5])
+        before = (list(stats.n), list(stats.mu_hat))
+        with pytest.raises(ValueError, match="assignment has length|out of range"):
+            update_stats(stats, h, arms, [1.0])
+        assert (stats.n, stats.mu_hat) == before
+
     def test_incremental_matches_batch_mean(self):
         h = Hypergraph(4, [2] * 4, chain_groups(4, 2))
         stats = LocalArmStats.fresh(h.num_local_arms)

@@ -14,7 +14,9 @@ failed counts, with nproc and the load average around the runs.
 
 With --ve-costs the file also records, for every benchmark graph whose
 rounds use variable elimination, what the working tree's compiled VE
-kernel costs to build and how much faster it runs than the interpreter;
+kernel costs to build and how much faster it runs than the interpreter,
+with the graph's largest merged table and whether it compiles at all (a
+graph with a merged table over CHUNK_LINES cells stays interpreted);
 and for every benchmark graph, restricted-action ones included, the same
 for the compiled flat-index kernel against the loop it replaces.
 """
@@ -132,8 +134,9 @@ def benchmark_graphs() -> dict:
 def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
     """Best-of-`reps` compile time of each VE-using benchmark graph's
     kernel, and time per call of the interpreter and of the kernel on
-    `calls` random score vectors, in the working tree. Break-even calls
-    are None for a graph whose kernel is not faster."""
+    `calls` random score vectors, in the working tree, with the largest
+    merged table and whether the schedule compiles. Break-even calls are
+    None for a graph whose kernel is not faster."""
     graphs = benchmark_graphs()
     from mamab import elimination
 
@@ -154,6 +157,8 @@ def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
         costs["graphs"][key] = {
             "compile_ms": compile_s * 1e3, "interpreted_us": interp * 1e6,
             "kernel_us": fast * 1e6, "op_count": sched.op_count,
+            "max_merged": max(step.merged_size for step in sched.steps),
+            "compiles": elimination._kernel_source(sched) is not None,
             "break_even_calls": break_even(compile_s, interp, fast)}
     return costs
 
