@@ -8,7 +8,9 @@ Subcommands:
 * ``plot``: render one or more summary CSVs as a self-contained SVG
   regret chart (mean line plus a one-standard-deviation band).
 * ``oracle``: print the exhaustive optimum and the per-assignment gap
-  table of an environment (joint spaces up to 2**20).
+  table of an environment (joint spaces up to 2**20). For a
+  restricted-action environment the table lists its playable candidate
+  set, not the full product space.
 
 Config files are line-oriented ``key = value`` text; ``#`` starts a
 comment. Unknown keys, missing required keys and type errors are fatal
@@ -48,6 +50,7 @@ from .environments import (
     gem_mining_env,
     load_table_env,
     lower_bound_env,
+    pseudo_regret,
 )
 from .harness import ExperimentSpec, ExperimentSummary, RegretTrace, run_experiment
 from .hypergraph import enumerate_joint
@@ -265,9 +268,6 @@ def emit_csv(traces: Sequence[RegretTrace], summary: ExperimentSummary,
     time is nondeterministic and is written as 0 unless record_timing is
     set.
     """
-    parent = os.path.dirname(prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     trials_path = f"{prefix}.trials.csv"
     summary_path = f"{prefix}.summary.csv"
 
@@ -275,8 +275,7 @@ def emit_csv(traces: Sequence[RegretTrace], summary: ExperimentSummary,
     for i, trace in enumerate(traces):
         for t, r in trace.checkpoints:
             lines.append(f"{i},{t},{r:.6f}")
-    with open(trials_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(trials_path, lines)
 
     wall = summary.mean_wall_ns if record_timing else 0.0
     lines = [SUMMARY_HEADER]
@@ -284,9 +283,18 @@ def emit_csv(traces: Sequence[RegretTrace], summary: ExperimentSummary,
                             summary.std_cum_regret):
         lines.append(f"{t},{mean:.6f},{std:.6f},{wall:.6f},"
                      f"{summary.mean_gaussian_draws:.6f}")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(summary_path, lines)
     return trials_path, summary_path
+
+
+def _write_lines(path: str, lines: Sequence[str]) -> None:
+    """Write `lines` to `path`, each ended by a bare newline, creating the
+    parent directory if needed."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_summary_csv(path: str) -> ExperimentSummary:
@@ -393,12 +401,7 @@ def render_svg(series: Sequence[tuple[str, Sequence[int], Sequence[float],
         parts.append(f'<text x="{lx + 30}" y="{ly + 4}" font-size="12">'
                      f'{escape(label)}</text>')
     parts.append("</svg>")
-
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(path, parts)
     return path
 
 
@@ -469,22 +472,32 @@ def _cmd_oracle(args) -> int:
     cfg = parse_config(args.config, args.set, need_policy=False)
     env = cfg.build_env()
     graph = env.graph
-    totals = joint_totals(graph, list(env.means), cap=args.max_joint)
-    gaps = float(totals.max()) - totals
-    suboptimal = gaps[gaps > 0]
+    if env.candidates is None:
+        totals = joint_totals(graph, list(env.means), cap=args.max_joint)
+        playable = enumerate_joint(graph)
+        gaps = (float(totals.max()) - totals).tolist()
+    else:
+        # a restricted-action environment can play its candidates only
+        if env.candidates.size > args.max_joint:
+            raise ValueError(
+                f"candidate set has {env.candidates.size} assignments, exceeding "
+                f"the oracle cap {args.max_joint}")
+        playable = list(env.candidates)
+        gaps = [pseudo_regret(env, arms) for arms in playable]
+    suboptimal = [g for g in gaps if g > 0]
     print(f"environment: {env.name}")
-    print(f"joint_arms: {graph.num_joint_arms}")
+    print(f"joint_arms: {len(gaps)}")
     print(f"local_arms: {graph.num_local_arms}")
     print(f"optimal_arm: {' '.join(map(str, env.optimal_assignment))}")
     print(f"mu_star: {env.optimal_value:.6f}")
-    if suboptimal.size:
-        print(f"delta_min: {float(suboptimal.min()):.6f}")
+    if suboptimal:
+        print(f"delta_min: {min(suboptimal):.6f}")
     else:
         print("delta_min: none (all assignments optimal)")
-    print(f"delta_max: {float(gaps.max()):.6f}")
+    print(f"delta_max: {max(gaps):.6f}")
     print("arm,delta")
-    for j, arms in enumerate(enumerate_joint(graph)):
-        print(f"{' '.join(map(str, arms))},{gaps[j]:.6f}")
+    for arms, gap in zip(playable, gaps):
+        print(f"{' '.join(map(str, arms))},{gap:.6f}")
     return 0
 
 

@@ -41,8 +41,15 @@ the number of agents. It refuses a graph whose merged table would exceed DEFAULT
 before allocating it.
 
 `brute_argmax` is the independent oracle: full enumeration of the joint
-space. Both share the same tie-break, smallest mixed-radix joint index,
-so results are comparable assignment-for-assignment.
+space, each assignment's scores added in group order. Both break ties
+toward the smallest mixed-radix joint index, and they agree
+assignment-for-assignment whenever the sums are exact (small integers,
+say). VE adds the same scores in another order, so under rounding two
+assignments that tie in one order can differ by an ulp in the other:
+VE may then return a larger joint index, or an assignment whose
+group-order sum lies an ulp below the brute maximum. Both maximizers
+and the restricted candidate set check their scores with
+`_checked_scores` and return an `EliminationResult`.
 
 Operation counting: `op_count` is the number of factor-table cells read
 while merging (each consumed factor contributes its size exactly once).
@@ -60,7 +67,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,11 +77,27 @@ from .hypergraph import (CHUNK_LINES, COMPILE_AFTER, Hypergraph, JointAssignment
 DEFAULT_BRUTE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class EliminationResult:
+class EliminationResult(NamedTuple):
+    """What every joint-arm maximizer returns: `ve_argmax`, `brute_argmax`
+    and the restricted candidate set's `argmax`."""
+
     argmax: JointAssignment
     value: float
     op_count: int
+
+
+def _checked_scores(scores: Sequence[float], size: int) -> list:
+    """`scores` as a list, checked for the maximizers: it must hold
+    `size` entries, each finite, with a finite sum."""
+    if len(scores) != size:
+        raise ValueError(f"score vector has length {len(scores)}, expected {size}")
+    if type(scores) is not list:
+        scores = [float(x) for x in scores]
+    if not math.isfinite(sum(scores)):
+        if all(map(math.isfinite, scores)):
+            raise ValueError("score vector entries are finite, but their sum overflows")
+        raise ValueError("score vector contains non-finite entries")
+    return scores
 
 
 # ---------------------------------------------------------------------
@@ -359,8 +382,10 @@ def _interpret(sched: _Schedule, num_agents: int, scores: list) -> tuple[JointAs
 
 def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     """Arg-maximize sum_e scores[a^e] over joint assignments by variable
-    elimination. Exact; ties resolve to the smallest mixed-radix joint
-    index. The scores and their sum must be finite.
+    elimination. Exact up to rounding: ties resolve to the smallest
+    mixed-radix joint index when the sums are exact; otherwise the pick
+    can differ from `brute_argmax`'s by an ulp of the total (see the
+    module docstring). The scores and their sum must be finite.
 
     The first COMPILE_AFTER calls on a graph run the interpreter; the
     next compiles the graph's kernel, which every later call runs. Both
@@ -368,15 +393,7 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     strict >, so results do not depend on the path. A graph with a
     merged table over CHUNK_LINES cells stays on the interpreter; one
     over DEFAULT_BRUTE_CAP cells raises ValueError."""
-    if len(scores) != h.num_local_arms:
-        raise ValueError(
-            f"score vector has length {len(scores)}, expected {h.num_local_arms}")
-    if type(scores) is not list:
-        scores = [float(x) for x in scores]
-    if not math.isfinite(sum(scores)):
-        if all(map(math.isfinite, scores)):
-            raise ValueError("score vector entries are finite, but their sum overflows")
-        raise ValueError("score vector contains non-finite entries")
+    scores = _checked_scores(scores, h.num_local_arms)
     kernel = h._ve_kernel
     if kernel is None:
         sched = h._ve_schedule
@@ -394,18 +411,14 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
 def joint_totals(h: Hypergraph, scores: Sequence[float],
                  cap: int = DEFAULT_BRUTE_CAP) -> np.ndarray:
     """sum_e scores[a^e] for every joint assignment, indexed by the
-    mixed-radix joint index. Materializes the full joint space."""
-    if len(scores) != h.num_local_arms:
-        raise ValueError(
-            f"score vector has length {len(scores)}, expected {h.num_local_arms}")
+    mixed-radix joint index. Materializes the full joint space. The
+    scores are checked as `ve_argmax` checks them."""
+    s = np.asarray(_checked_scores(scores, h.num_local_arms), dtype=np.float64)
     a_total = h.num_joint_arms
     if a_total > cap:
         raise ValueError(
             f"joint arm space has {a_total} assignments, exceeding the oracle "
             f"cap {cap}")
-    s = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("score vector contains non-finite entries")
     # C order over one axis per agent, in agent order, is the joint order; a
     # single-arm agent gets no axis, keeping within numpy's dimension limit
     wide = [i for i, k in enumerate(h.arm_counts) if k > 1]

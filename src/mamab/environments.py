@@ -20,24 +20,23 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
-from .elimination import DEFAULT_BRUTE_CAP, assignment_value, brute_argmax, ve_argmax
-from .hypergraph import (Hypergraph, JointAssignment, _mixed_radix_weights,
+from .elimination import (DEFAULT_BRUTE_CAP, EliminationResult, _checked_scores,
+                          assignment_value, brute_argmax, ve_argmax)
+from .hypergraph import (Hypergraph, JointAssignment, _mixed_radix_decode,
                          validate_assignment)
 
 FAMILIES = ("bernoulli", "poisson", "gaussian")
 
-# Local mean tables for the pairwise chain benchmarks. Entry [a, b] is the
-# mean reward when the group's lower-numbered agent plays a and the higher
-# one plays b; odd-numbered groups use the transpose, which makes the
-# alternating assignment starting with arm 0 the unique optimum.
-BERNOULLI_PAIR_TABLE = ((0.75, 1.0), (0.25, 0.9))
-POISSON_PAIR_TABLE = ((0.1, 0.3), (0.2, 0.1))
-
-# Mean table for triple chains, indexed by the group's arm tuple. Groups
-# whose start index is not a multiple of 3 look the tuple up after a left
-# cyclic rotation by (start mod 3) positions; the all-ones tuple maps to
-# the maximum under every rotation, so the all-ones assignment stays
-# optimal. The rotation convention is this implementation's choice.
+# Local mean tables for the chain benchmarks, indexed by the group's arm
+# tuple (its agents in ascending order). Group e of a chain with groups of
+# d agents looks the tuple up after a left cyclic rotation by e mod d
+# positions. For pairs that rotation is the transpose on odd groups, which
+# makes the alternating assignment starting with arm 0 the unique optimum;
+# for triples the all-ones tuple maps to the maximum under every rotation,
+# so the all-ones assignment stays optimal. The rotation convention is
+# this implementation's choice.
+BERNOULLI_PAIR_TABLE = {(0, 0): 0.75, (0, 1): 1.0, (1, 0): 0.25, (1, 1): 0.9}
+POISSON_PAIR_TABLE = {(0, 0): 0.1, (0, 1): 0.3, (1, 0): 0.2, (1, 1): 0.1}
 TRIPLE_TABLE = {
     (0, 0, 0): 0.5,
     (1, 0, 0): 0.9,
@@ -70,7 +69,8 @@ class RestrictedCandidates:
     per-agent decoy arms 1..num_decoys (all agents are singleton groups).
     argmax over the set factors through per-group maxima, which returns
     exactly what a literal scan of the enumerated candidate list returns,
-    including the smallest-joint-index tie-break.
+    including the tie-break toward the earliest candidate. It checks its
+    scores as `ve_argmax` does.
     """
 
     offsets: tuple[int, ...]
@@ -87,9 +87,10 @@ class RestrictedCandidates:
         for combo in itertools.product(range(1, self.num_decoys + 1), repeat=rho):
             yield combo
 
-    def argmax(self, scores: Sequence[float]) -> tuple[JointAssignment, float, int]:
-        """Returns (assignment, value, cells_read)."""
+    def argmax(self, scores: Sequence[float]) -> EliminationResult:
+        """The best candidate, its value and the score cells read."""
         num_decoys = self.num_decoys
+        scores = _checked_scores(scores, len(self.offsets) * (num_decoys + 1))
         opt_total = 0.0
         sub_total = 0.0
         sub_arms = []
@@ -103,18 +104,16 @@ class RestrictedCandidates:
                 sub_arms.append(decoys.index(best) + 1)
         ops = len(self.offsets) * (num_decoys + 1)
         if not num_decoys or sub_total <= opt_total:
-            return self.optimal, opt_total, ops
-        return tuple(sub_arms), sub_total, ops
+            return EliminationResult(self.optimal, opt_total, ops)
+        return EliminationResult(tuple(sub_arms), sub_total, ops)
 
     def sample(self, rng: Random) -> JointAssignment:
         """Uniform draw over the candidate list, by candidate index."""
         idx = rng.randrange(self.size)
         if idx == 0:
             return self.optimal
-        idx -= 1
-        num_decoys = self.num_decoys
-        weights = _mixed_radix_weights([num_decoys] * len(self.offsets))
-        return tuple(idx // w % num_decoys + 1 for w in weights)
+        combo = _mixed_radix_decode(idx - 1, [self.num_decoys] * len(self.offsets))
+        return tuple(a + 1 for a in combo)
 
 
 @dataclass(frozen=True)
@@ -187,22 +186,14 @@ def chain_env(m: int, d: int, family: str) -> Environment:
     groups = [list(range(e, e + d)) for e in range(m - d + 1)]
     graph = Hypergraph(m, [2] * m, groups)
 
+    table = TRIPLE_TABLE if d == 3 else (
+        BERNOULLI_PAIR_TABLE if family == "bernoulli" else POISSON_PAIR_TABLE)
+    # a group's means under each rotation r, its local arms in mixed-radix order
+    local_arms = list(itertools.product((0, 1), repeat=d))
+    rotated = [[table[arms[r:] + arms[:r]] for arms in local_arms] for r in range(d)]
     means = []
-    if d == 2:
-        table = BERNOULLI_PAIR_TABLE if family == "bernoulli" else POISSON_PAIR_TABLE
-        for e in range(graph.num_groups):
-            for a in (0, 1):
-                for b in (0, 1):
-                    means.append(table[a][b] if e % 2 == 0 else table[b][a])
-    else:
-        for e in range(graph.num_groups):
-            r = e % 3
-            for t0 in (0, 1):
-                for t1 in (0, 1):
-                    for t2 in (0, 1):
-                        arms = (t0, t1, t2)
-                        key = tuple(arms[(j + r) % 3] for j in range(3))
-                        means.append(TRIPLE_TABLE[key])
+    for e in range(graph.num_groups):
+        means += rotated[e % d]
     return make_environment(graph, means, [family] * graph.num_groups,
                             name=f"{family}_chain_m{m}_d{d}")
 

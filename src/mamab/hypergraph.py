@@ -19,6 +19,7 @@ Indexing conventions, fixed and 0-based everywhere:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterator, Sequence
 
 JointAssignment = tuple[int, ...]
@@ -65,6 +66,12 @@ def _mixed_radix_weights(counts: Sequence[int]) -> tuple[int, ...]:
     for j in range(len(counts) - 2, -1, -1):
         weights[j] = weights[j + 1] * counts[j + 1]
     return tuple(weights)
+
+
+def _mixed_radix_decode(index: int, counts: Sequence[int]) -> tuple[int, ...]:
+    """The digits of `index` in the mixed radix `counts`, most
+    significant first."""
+    return tuple(index // w % k for w, k in zip(_mixed_radix_weights(counts), counts))
 
 
 def _load(chunks: list[str], filename: str) -> list[Callable]:
@@ -133,29 +140,12 @@ class Hypergraph:
         self.groups = tuple(norm_groups)
         self.num_groups = len(norm_groups)
 
-        sizes = []
-        weights = []
-        offsets = []
-        total = 0
-        for members in self.groups:
-            counts = [self.arm_counts[i] for i in members]
-            size = 1
-            for k in counts:
-                size *= k
-            sizes.append(size)
-            weights.append(_mixed_radix_weights(counts))
-            offsets.append(total)
-            total += size
-        self.group_sizes = tuple(sizes)
-        self.group_weights = tuple(weights)
-        self.local_offsets = tuple(offsets)
-        self.num_local_arms = total
-
-        self.joint_strides = _mixed_radix_weights(self.arm_counts)
-        a = 1
-        for k in self.arm_counts:
-            a *= k
-        self.num_joint_arms = a
+        counts = [[self.arm_counts[i] for i in members] for members in self.groups]
+        self.group_sizes = tuple(map(math.prod, counts))
+        self.group_weights = tuple(map(_mixed_radix_weights, counts))
+        self.local_offsets = tuple(itertools.accumulate(self.group_sizes[:-1], initial=0))
+        self.num_local_arms = sum(self.group_sizes)
+        self.num_joint_arms = math.prod(self.arm_counts)
 
         # elimination schedule, built lazily on the first ve_argmax call,
         # and the compiled kernels, each built once its path has been reused
@@ -173,10 +163,7 @@ class Hypergraph:
     # -- joint <-> integer helpers ------------------------------------
 
     def decode_joint(self, index: int) -> JointAssignment:
-        out = []
-        for w, k in zip(self.joint_strides, self.arm_counts):
-            out.append((index // w) % k)
-        return tuple(out)
+        return _mixed_radix_decode(index, self.arm_counts)
 
     # -- local-arm indexing --------------------------------------------
 

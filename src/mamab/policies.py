@@ -145,12 +145,7 @@ def select_arm(h: Hypergraph, stats: LocalArmStats, cfg: PolicyConfig, t: int,
         scores = sample_scores(stats, cfg, rng, tally)
     else:
         scores = ucb_scores(stats, t, cfg)
-    if candidates is not None:
-        arms, _value, ops = candidates.argmax(scores)
-        if tally is not None:
-            tally.argmax_ops += ops
-        return arms
-    res = ve_argmax(h, scores)
+    res = ve_argmax(h, scores) if candidates is None else candidates.argmax(scores)
     if tally is not None:
         tally.argmax_ops += res.op_count
     return res.argmax

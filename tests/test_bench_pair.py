@@ -1,8 +1,9 @@
-"""Smoke tests of tools/bench_pair.py's --ve-costs report, which reaches
-into the VE schedule and flat-kernel internals that nothing else outside
-tests runs."""
+"""Smoke tests of tools/bench_pair.py: its --ve-costs report, which
+reaches into the VE schedule and flat-kernel internals that nothing else
+outside tests runs, and the `src/` line ledger in every report."""
 
 import importlib.util
+import json
 import sys
 import time
 from pathlib import Path
@@ -78,3 +79,31 @@ def test_no_flat_break_even_for_a_slower_kernel(bench_pair, monkeypatch):
     monkeypatch.setattr(Hypergraph, "_compile_flat", slow_compile)
     costs = bench_pair.flat_kernel_costs(reps=1, calls=2)
     assert all(graph["break_even_calls"] is None for graph in costs.values())
+
+
+def test_report_carries_src_line_ledger(bench_pair, monkeypatch, tmp_path):
+    def write(root, files):
+        for name, text in files.items():
+            path = root / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+
+    change = tmp_path / "change"
+    # the last line has no newline, which `wc -l` does not count
+    write(change, {"pkg/a.py": "x\ny\n", "pkg/b.py": "z\nw", "pkg/notes.txt": "n\n"})
+    (change / "src" / "pkg" / "__pycache__").mkdir()
+    (change / "src" / "pkg" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\n\n")
+
+    def export_tree(rev, dest):
+        write(dest, {"pkg/a.py": "x\n"})
+        return "0" * 40
+
+    monkeypatch.setattr(bench_pair, "ROOT", change)
+    monkeypatch.setattr(bench_pair, "export_tree", export_tree)
+    monkeypatch.setattr(bench_pair, "compare_pairs", lambda *args: {})
+    assert bench_pair.main(["--tag", "ledger", "--workloads", "brute_setup"]) == 0
+    report = json.loads((change / "BENCH_ledger.json").read_text())
+    assert report["src_lines"] == {
+        "parent": {"files": {"pkg/a.py": 1}, "total": 1},
+        "change": {"files": {"pkg/a.py": 2, "pkg/b.py": 1}, "total": 3},
+    }

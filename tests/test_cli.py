@@ -427,6 +427,20 @@ class TestMainCommands:
         rows = out.split("arm,delta\n", 1)[1].strip().splitlines()
         assert len(rows) == 1024
 
+    def test_oracle_lists_restricted_candidates(self, capsys):
+        args = ["oracle", "--set", "env=lower_bound", "--set", "rho=2", "--set", "L=2",
+                "--set", "T=1", "--set", "trials=1", "--set", "seed=0"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "joint_arms: 5\n" in out
+        # every decoy combination gives up delta = 0.5 in each of 2 groups
+        assert "delta_min: 1.000000\n" in out
+        rows = out.split("arm,delta\n", 1)[1].strip().splitlines()
+        assert rows == ["0 0,0.000000", "1 1,1.000000", "1 2,1.000000",
+                        "2 1,1.000000", "2 2,1.000000"]
+        assert main(args + ["--max-joint", "4"]) == 1
+        assert "candidate set has 5 assignments" in capsys.readouterr().err
+
     def test_oracle_respects_cap(self, capsys):
         rc = main(["oracle", "--set", "env=bernoulli_chain", "--set", "m=12",
                    "--set", "d=2", "--set", "T=1", "--set", "trials=1",

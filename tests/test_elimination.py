@@ -230,6 +230,13 @@ class TestNumericEdgeCases:
         with pytest.raises(ValueError, match="entries are finite, but their sum overflows"):
             ve_argmax(h, [1e308, 1e308, 0.0, 0.0])
 
+    def test_brute_names_an_overflowing_sum(self):
+        # the totals of (0, 0) and (1, 0) overflow; the oracle used to
+        # return inf for them with a numpy RuntimeWarning
+        h = Hypergraph(2, [2, 2], [[0, 1], [1]])
+        with pytest.raises(ValueError, match="entries are finite, but their sum overflows"):
+            brute_argmax(h, [1e308] * 5 + [0.0])
+
 
 class TestJointTotalsLayout:
     """joint_totals lays the joint space out as one numpy axis per agent;

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from mamab.elimination import brute_argmax
+from mamab.elimination import EliminationResult, brute_argmax
 from mamab.environments import (
     BERNOULLI_PAIR_TABLE,
     POISSON_PAIR_TABLE,
@@ -61,13 +61,13 @@ class TestChainEnvironments:
         env = chain_env(3, 2, "bernoulli")
         for a, b in itertools.product((0, 1), repeat=2):
             j = env.graph.flat_indices((a, b, 0))[0]
-            assert env.means[j] == BERNOULLI_PAIR_TABLE[a][b]
+            assert env.means[j] == BERNOULLI_PAIR_TABLE[a, b]
 
     def test_odd_group_table_transposed(self):
         env = chain_env(3, 2, "poisson")
         for a, b in itertools.product((0, 1), repeat=2):
             j = env.graph.flat_indices((0, a, b))[1]
-            assert env.means[j] == POISSON_PAIR_TABLE[b][a]
+            assert env.means[j] == POISSON_PAIR_TABLE[b, a]
 
     def test_too_few_agents(self):
         with pytest.raises(InvalidEnvironmentError):
@@ -205,8 +205,22 @@ class TestLowerBoundEnvironment:
 
     def test_restricted_argmax_tie_prefers_optimal(self):
         env = lower_bound_env(2, 2, 3.5, 0.5)
-        arms, value, _ = env.candidates.argmax([1.0] * env.graph.num_local_arms)
-        assert arms == (0, 0)
+        res = env.candidates.argmax([1.0] * env.graph.num_local_arms)
+        assert isinstance(res, EliminationResult)
+        assert res == ((0, 0), 2.0, 6)
+
+    @pytest.mark.parametrize("scores, message", [
+        ([1.0, math.nan, 0.5], "contains non-finite entries"),
+        ([1.0, math.inf, 0.5], "contains non-finite entries"),
+        ([1e308, 1e308, 0.0], "entries are finite, but their sum overflows"),
+        ([1.0, 0.5], "has length 2, expected 3"),
+    ])
+    def test_restricted_argmax_checks_scores(self, scores, message):
+        # the NaN case used to return the decoy (1,), where a literal scan
+        # of the candidates picks (0,)
+        env = lower_bound_env(1, 2, 3.5, 0.5)
+        with pytest.raises(ValueError, match=message):
+            env.candidates.argmax(scores)
 
     def test_candidate_sampling_uniform(self):
         env = lower_bound_env(2, 2, 3.5, 0.5)

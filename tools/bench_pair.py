@@ -10,7 +10,9 @@ alternating too, so slow phases of a shared machine fall on both sides.
 The result goes to BENCH_<tag>.json in the working tree: per workload
 and side, the median, quartiles and every run of each end-to-end
 metric, the pairs the working tree won, the checkpoint digests and the
-failed counts, with nproc and the load average around the runs.
+failed counts, with nproc and the load average around the runs. It also
+records the line count of every `.py` file under `src/` in both trees
+(`src_lines`), the ledger a change reports its net size from.
 
 With --ve-costs the file also records, for every benchmark graph whose
 rounds use variable elimination, what the working tree's compiled VE
@@ -67,6 +69,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "digest": manifest["digest"], "failed": result["failed"],
             "attempted": result["attempted"]}
+
+
+def src_lines(tree: Path) -> dict:
+    """Newline count (as `wc -l` gives it) of every `.py` file under
+    `tree`/src, keyed by its path below src, and their total."""
+    src = tree / "src"
+    files = {p.relative_to(src).as_posix(): p.read_bytes().count(b"\n")
+             for p in sorted(src.rglob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def summarize(values: list[float]) -> dict:
@@ -203,6 +214,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         report["parent"] = export_tree(args.parent, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
+        report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         report["workloads"] = {w: compare_pairs(w, trees, args.pairs, args.seed, args.seconds)
                                for w in args.workloads}
     report["machine"]["loadavg_after"] = os.getloadavg()
