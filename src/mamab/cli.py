@@ -18,7 +18,10 @@ and name the offending key and location. The same assignments can be
 given inline with ``--set key=value``, which also overrides file values.
 The keys, their types, defaults and the kinds that accept them are the
 ``SCHEMA`` table below; range errors come from the environment builders
-and ``PolicyConfig``, which own the values.
+and ``PolicyConfig``, which own the values. ``parse_config`` builds both
+and returns the experiment itself (``RunConfig``, an ``ExperimentSpec``
+with an output prefix), so ``sweep`` refuses a bad value anywhere in its
+list before the first run writes a file.
 
 CSV schemas (floats always carry six fractional digits):
 
@@ -38,11 +41,11 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
-from .elimination import joint_totals
+from .elimination import DEFAULT_BRUTE_CAP, joint_totals
 from .environments import (
     Environment,
     chain_env,
@@ -113,38 +116,24 @@ def _owned(build, sources: dict, *args, **kwargs):
                           f"({sources.get(key, 'default')}): {exc}") from None
 
 
-@dataclass
-class RunConfig:
-    env_kind: str
-    env_params: dict
-    horizon: int
-    trials: int
-    base_seed: int
-    log_every: int
+@dataclass(frozen=True)
+class RunConfig(ExperimentSpec):
+    """A parsed run: the built experiment and where its CSVs go. The
+    policy is None when the config was parsed without one (the oracle)."""
+
     out_prefix: str
-    policy_kind: Optional[str] = None
-    policy_params: dict = field(default_factory=dict)
-    # key -> where it was set, for owner errors raised after parsing
-    _sources: dict = field(default_factory=dict, init=False, repr=False)
 
-    def build_env(self) -> Environment:
-        kind = self.env_kind
-        p = self.env_params
-        if kind in _CHAINS:
-            return _owned(chain_env, self._sources, p["m"], p["d"],
-                          kind.removesuffix("_chain"))
-        if kind == "gem_mining":
-            return _owned(gem_mining_env, self._sources, p["villages"],
-                          random.Random(p["env_seed"]))
-        if kind == "lower_bound":
-            return _owned(lower_bound_env, self._sources, **p)
-        return load_table_env(p["table_file"])
 
-    def build_policy(self) -> PolicyConfig:
-        if self.policy_kind is None:
-            raise ConfigError("no policy configured")
-        return _owned(PolicyConfig, self._sources, self.policy_kind,
-                      **self.policy_params)
+def _build_env(kind: str, params: dict, sources: dict) -> Environment:
+    if kind in _CHAINS:
+        return _owned(chain_env, sources, params["m"], params["d"],
+                      kind.removesuffix("_chain"))
+    if kind == "gem_mining":
+        return _owned(gem_mining_env, sources, params["villages"],
+                      random.Random(params["env_seed"]))
+    if kind == "lower_bound":
+        return _owned(lower_bound_env, sources, **params)
+    return load_table_env(params["table_file"])
 
 
 def _read_config_file(path: str) -> dict:
@@ -185,7 +174,8 @@ def parse_config(path: Optional[str] = None,
                  assignments: Sequence[str] = (),
                  need_policy: bool = True) -> RunConfig:
     """Load and fully validate a run configuration from a file, inline
-    key=value assignments, or both (later assignments win)."""
+    key=value assignments, or both (later assignments win). The policy
+    and the environment are built here, so a config that parses can run."""
     entries = _read_config_file(path) if path else {}
     for item in assignments:
         key, sep, value = item.partition("=")
@@ -240,15 +230,11 @@ def parse_config(path: Optional[str] = None,
         return {key: values[key] for key in accepted
                 if SCHEMA[key][2] is not None and kind in SCHEMA[key][2]}
 
-    cfg = RunConfig(env_kind=env_kind, env_params=owned_by(env_kind),
-                    horizon=values["T"], trials=values["trials"],
-                    base_seed=values["seed"], log_every=values["log_every"],
-                    out_prefix=values["out"], policy_kind=policy_kind,
-                    policy_params=owned_by(policy_kind))
-    cfg._sources = sources
-    if policy_kind is not None:
-        cfg.build_policy()
-    return cfg
+    policy = (None if policy_kind is None else
+              _owned(PolicyConfig, sources, policy_kind, **owned_by(policy_kind)))
+    env = _build_env(env_kind, owned_by(env_kind), sources)
+    return RunConfig(env, policy, values["T"], values["trials"], values["seed"],
+                     values["log_every"], values["out"])
 
 
 # ---------------------------------------------------------------------
@@ -410,10 +396,7 @@ def render_svg(series: Sequence[tuple[str, Sequence[int], Sequence[float],
 # ---------------------------------------------------------------------
 
 def _run_one(cfg: RunConfig, record_timing: bool):
-    env = cfg.build_env()
-    spec = ExperimentSpec(env, cfg.build_policy(), cfg.horizon, cfg.trials,
-                          cfg.base_seed, cfg.log_every)
-    result = run_experiment(spec)
+    result = run_experiment(cfg)
     trials_path, summary_path = emit_csv(result.traces, result.summary,
                                          cfg.out_prefix, record_timing)
     print(f"wrote {trials_path}")
@@ -426,14 +409,13 @@ def _run_one(cfg: RunConfig, record_timing: bool):
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config, args.set)
-    _run_one(cfg, args.record_timing)
+    _run_one(parse_config(args.config, args.set), args.record_timing)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    # every value's config is parsed before the first run, so a bad value
-    # anywhere in the list writes no file
+    # every value's environment and policy are built before the first run,
+    # so a bad value anywhere in the list writes no file
     configs = {}
     for value in args.values.split(","):
         value = value.strip()
@@ -443,9 +425,9 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"duplicate value {value!r} in --values")
         configs[value] = parse_config(args.config, list(args.set) + [f"{args.param}={value}"])
     for value, cfg in configs.items():
-        cfg.out_prefix = f"{cfg.out_prefix}.{args.param}_{value}"
         print(f"[sweep] {args.param}={value}")
-        _run_one(cfg, args.record_timing)
+        _run_one(replace(cfg, out_prefix=f"{cfg.out_prefix}.{args.param}_{value}"),
+                 args.record_timing)
     return 0
 
 
@@ -469,8 +451,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = parse_config(args.config, args.set, need_policy=False)
-    env = cfg.build_env()
+    env = parse_config(args.config, args.set, need_policy=False).env
     graph = env.graph
     if env.candidates is None:
         totals = joint_totals(graph, list(env.means), cap=args.max_joint)
@@ -543,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="print the exhaustive optimum and gap table")
     common(p_oracle, policy=False)
-    p_oracle.add_argument("--max-joint", type=int, default=1 << 20,
+    p_oracle.add_argument("--max-joint", type=int, default=DEFAULT_BRUTE_CAP,
                           help="refuse joint spaces larger than this")
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser

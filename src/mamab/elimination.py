@@ -37,8 +37,11 @@ its own plain call count on the graph (`_ve_calls` here).
 
 `_build_schedule` keeps an index from each agent to the alive factors
 that hold it, so on graphs of bounded scope its cost grows linearly with
-the number of agents. It refuses a graph whose merged table would exceed DEFAULT_BRUTE_CAP cells
-before allocating it.
+the number of agents. It refuses a graph whose merged table would exceed
+DEFAULT_BRUTE_CAP cells, or whose cell-map columns other than ranges
+would together hold more than DEFAULT_BRUTE_CAP entries, before
+allocating the column that crosses the cap, so a schedule's cell maps
+take at most 8 MiB (8 bytes an entry).
 
 `brute_argmax` is the independent oracle: full enumeration of the joint
 space, each assignment's scores added in group order. Both break ties
@@ -88,12 +91,16 @@ class EliminationResult(NamedTuple):
 
 def _checked_scores(scores: Sequence[float], size: int) -> list:
     """`scores` as a list, checked for the maximizers: it must hold
-    `size` entries, each finite, with a finite sum."""
+    `size` entries, each finite, whose absolute values have a finite sum.
+    Every total a maximizer forms, in any order, sums some of the entries,
+    so it is at most that sum, which is at most sqrt(size) times their
+    Euclidean norm: the cheap bound is tried first."""
     if len(scores) != size:
         raise ValueError(f"score vector has length {len(scores)}, expected {size}")
     if type(scores) is not list:
         scores = [float(x) for x in scores]
-    if not math.isfinite(sum(scores)):
+    if (not math.isfinite(math.hypot(*scores) * math.sqrt(size))
+            and not math.isfinite(sum(map(abs, scores)))):
         if all(map(math.isfinite, scores)):
             raise ValueError("score vector entries are finite, but their sum overflows")
         raise ValueError("score vector contains non-finite entries")
@@ -161,6 +168,7 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
     next_slot = h.num_local_arms
     steps = []
     op_count = 0
+    stored = 0             # entries of every cell-map column that is not a range
     for agent in range(h.num_agents - 1, -1, -1):
         bases = sorted(holding[agent])
         if not bases:
@@ -183,6 +191,13 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
             scope, weights, size = alive.pop(base)
             for i in scope:
                 holding[i].discard(base)
+            if tuple(scope) != tuple(union):
+                stored += merged_size
+                if stored > DEFAULT_BRUTE_CAP:
+                    raise ValueError(
+                        f"the schedule's cell maps would hold {stored} entries by "
+                        f"agent {agent}, exceeding the cap {DEFAULT_BRUTE_CAP}; "
+                        f"numbering hub agents first keeps the tables small")
             inputs.append(_cell_map(union, union_counts, scope, weights, base))
             op_count += size
         k = h.arm_counts[agent]
@@ -392,7 +407,8 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     add the same floats in the same order and compare with the same
     strict >, so results do not depend on the path. A graph with a
     merged table over CHUNK_LINES cells stays on the interpreter; one
-    over DEFAULT_BRUTE_CAP cells raises ValueError."""
+    over DEFAULT_BRUTE_CAP cells, or cell maps over DEFAULT_BRUTE_CAP
+    entries in all, raise ValueError."""
     scores = _checked_scores(scores, h.num_local_arms)
     kernel = h._ve_kernel
     if kernel is None:

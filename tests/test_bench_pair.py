@@ -1,6 +1,7 @@
 """Smoke tests of tools/bench_pair.py: its --ve-costs report, which
 reaches into the VE schedule and flat-kernel internals that nothing else
-outside tests runs, and the `src/` line ledger in every report."""
+outside tests runs, the `src/` line ledger in every report, and the
+verdict on each end-to-end metric against its bound."""
 
 import importlib.util
 import json
@@ -107,3 +108,35 @@ def test_report_carries_src_line_ledger(bench_pair, monkeypatch, tmp_path):
         "parent": {"files": {"pkg/a.py": 1}, "total": 1},
         "change": {"files": {"pkg/a.py": 2, "pkg/b.py": 1}, "total": 3},
     }
+
+
+def test_verdict_flags_a_metric_past_its_bound(bench_pair, monkeypatch, tmp_path):
+    # the change runs 20 % fewer rounds/s (bound 0.15) and takes 5 % more
+    # wall time (bound 0.15); every other metric is unchanged
+    change = tmp_path / "change"
+    (change / "src").mkdir(parents=True)
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append(tree)
+        jitter = 1 + 0.001 * len(calls)
+        slower = tree == change
+        metrics = {"setup_s": 0.01, "rounds_per_s": 1000.0 * jitter * (0.8 if slower else 1),
+                   "wall_s": 2.0 * jitter * (1.05 if slower else 1), "regret_final": 50.0,
+                   "peak_rss_mb": 40.0}
+        return {"metrics": metrics, "digest": "d", "failed": 0, "attempted": 3}
+
+    monkeypatch.setattr(bench_pair, "ROOT", change)
+    monkeypatch.setattr(bench_pair, "export_tree", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    assert bench_pair.main(["--tag", "verdict", "--workloads", "brute_setup"]) == 0
+    report = json.loads((change / "BENCH_verdict.json").read_text())
+    assert report["pairs"] == len(calls) // 2 == 10
+    verdict = report["workloads"]["brute_setup"]["verdict"]
+    assert set(verdict) == {"setup_s", "rounds_per_s", "wall_s", "regret_final", "peak_rss_mb"}
+    assert verdict["rounds_per_s"]["bound"] == 0.15
+    assert verdict["rounds_per_s"]["worse_by"] == pytest.approx(0.2, abs=0.01)
+    assert verdict["rounds_per_s"]["worse_than_bound"] is True
+    assert verdict["wall_s"]["worse_by"] == pytest.approx(0.05, abs=0.01)
+    assert verdict["wall_s"]["worse_than_bound"] is False
+    assert verdict["setup_s"] == {"worse_by": 0.0, "bound": 0.25, "worse_than_bound": False}

@@ -42,13 +42,12 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 class TestParseConfig:
     def test_minimal_config(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
-        assert cfg.env_kind == "bernoulli_chain"
-        assert cfg.env_params == {"m": 10, "d": 2}
-        assert cfg.policy_kind == "eps_mats"
+        assert cfg.env.name == "bernoulli_chain_m10_d2"
+        assert cfg.policy.kind == "eps_mats"
         assert cfg.horizon == 10000
         assert cfg.trials == 50
         assert cfg.base_seed == 7
-        assert abs(cfg.policy_params["c"] - 9.21034037) < 1e-6
+        assert abs(cfg.policy.c - 9.21034037) < 1e-6
 
     def test_default_out_is_config_stem(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL, name="bern.cfg"))
@@ -83,7 +82,7 @@ class TestParseConfig:
 
     def test_numeric_c(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL.replace("c = ln_T", "c = 2.5"))
-        assert parse_config(path).policy_params["c"] == 2.5
+        assert parse_config(path).policy.c == 2.5
 
     def test_bad_c_rejected(self, tmp_path):
         for bad in ("c = -1", "c = lnT"):
@@ -100,21 +99,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"'c' \(default, ln_T at T = 1\)"):
             parse_config(write_cfg(tmp_path, default_c))
         assert parse_config(write_cfg(tmp_path, one_round.replace(
-            "c = ln_T", "c = 1"))).policy_params["c"] == 1.0
+            "c = ln_T", "c = 1"))).policy.c == 1.0
 
     def test_inline_assignments_override_file(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL),
                            assignments=["epsilon=0.5", "trials=3"])
-        assert cfg.policy_params["epsilon"] == 0.5
+        assert cfg.policy.epsilon == 0.5
         assert cfg.trials == 3
 
     def test_pure_inline_mode(self):
         cfg = parse_config(None, assignments=[
             "env=lower_bound", "rho=2", "policy=random", "T=100",
             "trials=2", "seed=0"])
-        assert cfg.env_kind == "lower_bound"
-        assert cfg.env_params["L"] == 66
-        assert cfg.env_params["X"] == 3.5
+        assert cfg.env.name == "lower_bound_rho2_L66"
+        assert min(cfg.env.means) == 3.5
 
     def test_env_specific_key_rejected_elsewhere(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "villages = 5\n")
@@ -135,7 +133,7 @@ class TestParseConfig:
     def test_oracle_mode_policy_optional(self, tmp_path):
         text = "env = bernoulli_chain\nm = 4\nd = 2\nT = 10\ntrials = 1\nseed = 0\n"
         cfg = parse_config(write_cfg(tmp_path, text), need_policy=False)
-        assert cfg.policy_kind is None
+        assert cfg.policy is None
         with pytest.raises(ConfigError, match="policy"):
             parse_config(write_cfg(tmp_path, text), need_policy=True)
 
@@ -233,6 +231,12 @@ class TestEmitCsv:
         path = tmp_path / "bad.summary.csv"
         path.write_text(f"{SUMMARY_HEADER}\n{bad}\n")
         with pytest.raises(ConfigError, match=r"bad\.summary\.csv: row 1 .* is malformed"):
+            read_summary_csv(str(path))
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.summary.csv"
+        path.write_text(f"{TRIALS_HEADER}\n0,1,0.5\n")
+        with pytest.raises(ConfigError, match=r"bad\.summary\.csv: not a summary CSV \(bad header\)"):
             read_summary_csv(str(path))
 
     def test_header_only_rejected(self, tmp_path):
@@ -351,6 +355,18 @@ class TestMainCommands:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, message", [
+        (["--set", "env=ring"], "unknown env 'ring' (flag --set 'env=ring'); choose from "
+                                "bernoulli_chain, poisson_chain"),
+        (["--set", "T"], "bad --set argument 'T': expected key=value"),
+        (["--set", "T=0"], "'T' must be >= 1 (flag --set 'T=0')"),
+    ])
+    def test_run_names_the_bad_assignment(self, tmp_path, capsys, change, message):
+        out = str(tmp_path / "exp")
+        assert main(["run"] + self.BASE + change + ["--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_missing_file(self, capsys):
         rc = main(["run", "/nonexistent/path.cfg"])
         assert rc == 1
@@ -372,15 +388,19 @@ class TestMainCommands:
             assert (tmp_path / f"sw.epsilon_{v}.trials.csv").exists()
             assert (tmp_path / f"sw.epsilon_{v}.summary.csv").exists()
 
-    @pytest.mark.parametrize("values, message", [
-        ("0.5,,1.0", "empty value in --values"),
-        ("0.5,7", "epsilon"),
-        ("0.5,0.5", "duplicate value '0.5' in --values"),
-    ])
-    def test_failing_sweep_writes_no_file(self, tmp_path, capsys, values, message):
+    SWEEP_FAILURES = [
+        ("epsilon", "0.5,,1.0", "empty value in --values"),
+        ("epsilon", "0.5,7", "epsilon"),
+        ("epsilon", "0.5,0.5", "duplicate value '0.5' in --values"),
+        ("m", "6,1", "m must be at least d = 2"),
+    ]
+
+    @pytest.mark.parametrize("param, values, message", SWEEP_FAILURES,
+                             ids=[f"{values}-{message}" for _, values, message in SWEEP_FAILURES])
+    def test_failing_sweep_writes_no_file(self, tmp_path, capsys, param, values, message):
         # the bad value comes after a good one, which must not run either
         rc = main(["sweep"] + self.BASE
-                  + ["--out", str(tmp_path / "sw"), "--param", "epsilon", "--values", values])
+                  + ["--out", str(tmp_path / "sw"), "--param", param, "--values", values])
         assert rc == 1
         captured = capsys.readouterr()
         assert message in captured.err
@@ -452,4 +472,4 @@ class TestMainCommands:
         cfg = parse_config("sample_configs/bernoulli_m10.cfg")
         assert cfg.horizon == 10000
         assert cfg.trials == 50
-        assert abs(cfg.policy_params["c"] - math.log(10000)) < 1e-12
+        assert abs(cfg.policy.c - math.log(10000)) < 1e-12

@@ -237,6 +237,16 @@ class TestNumericEdgeCases:
         with pytest.raises(ValueError, match="entries are finite, but their sum overflows"):
             brute_argmax(h, [1e308] * 5 + [0.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_cancelling_scores_that_overflow_refused(self):
+        # the scores sum to 0, but the total of (0, 0) is 2e308: VE used to
+        # return it as inf and the oracle to overflow in numpy
+        h = Hypergraph(2, [2, 2], [[0], [1]])
+        scores = [1e308, -1e308, 1e308, -1e308]
+        for maximizer in (ve_argmax, brute_argmax):
+            with pytest.raises(ValueError, match="entries are finite, but their sum overflows"):
+                maximizer(h, scores)
+
 
 class TestJointTotalsLayout:
     """joint_totals lays the joint space out as one numpy axis per agent;
@@ -472,3 +482,23 @@ class TestScheduleSize:
             _build_schedule(h)
         with pytest.raises(ValueError, match="exceeding the cap"):
             ve_argmax(h, [0.0] * h.num_local_arms)
+
+    def test_star_whose_cell_maps_pass_the_cap_refused(self, monkeypatch):
+        # each of star(17)'s 16 leaf tables maps onto the centre's table of
+        # 2**17 cells: every table fits the cap, but their cell maps, 2**21
+        # entries in all, do not
+        h = star(17)
+        build_map = elimination._cell_map
+        stored = []
+
+        def counted_map(*args):
+            col = build_map(*args)
+            stored.append(len(col))
+            assert sum(stored) <= DEFAULT_BRUTE_CAP
+            return col
+
+        monkeypatch.setattr(elimination, "_cell_map", counted_map)
+        with pytest.raises(ValueError, match=r"cell maps would hold 1179648 entries by "
+                                             r"agent 16, exceeding the cap 1048576"):
+            _build_schedule(h)
+        assert stored == [1 << 17] * 8

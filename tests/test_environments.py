@@ -222,6 +222,13 @@ class TestLowerBoundEnvironment:
         with pytest.raises(ValueError, match=message):
             env.candidates.argmax(scores)
 
+    def test_restricted_argmax_refuses_cancelling_overflow(self):
+        # the scores sum to 0, but the optimum's total is 2e308; the
+        # candidate set used to return it as inf
+        env = lower_bound_env(2, 1, 3.5, 0.5)
+        with pytest.raises(ValueError, match="entries are finite, but their sum overflows"):
+            env.candidates.argmax([1e308, -1e308, 1e308, -1e308])
+
     def test_candidate_sampling_uniform(self):
         env = lower_bound_env(2, 2, 3.5, 0.5)
         rng = random.Random(3)
@@ -365,6 +372,17 @@ class TestMakeEnvironmentValidation:
         with pytest.raises(InvalidEnvironmentError):
             make_environment(g, [0.5], ["bernoulli"], "bad")
 
+    def test_families_length_checked(self):
+        g = Hypergraph(1, [2], [[0]])
+        with pytest.raises(InvalidEnvironmentError, match="families has length 2, expected 1"):
+            make_environment(g, [0.5, 0.1], ["bernoulli"] * 2, "bad")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mean_checked(self, bad):
+        g = Hypergraph(1, [2], [[0]])
+        with pytest.raises(InvalidEnvironmentError, match="local arm 1 has non-finite mean"):
+            make_environment(g, [0.5, bad], ["gaussian"], "bad")
+
 
 class TestTableEnvironment:
     def _write(self, tmp_path, text):
@@ -421,6 +439,23 @@ mean 3 0.9
                            "arms 2\ngroup 0\nmean 0 0.5\nmean 1 0.1\n")
         with pytest.raises(InvalidEnvironmentError, match="family"):
             load_table_env(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("arms 2\narms 2\n", "line 2: duplicate arms line"),
+        ("arms 2 two\n", "line 1: arms expects integers"),
+        ("arms 2\ngroup 0 x\n", "line 2: group expects agent indices"),
+        ("arms 2\ngroup 0\nfamily bernoulli 2\n", "line 3: family expects one name"),
+        ("arms 2\ngroup 0\nmean 0\n", "line 3: mean expects an index and a value"),
+        ("arms 2\ngroup 0\nmean 0.5 0.5\n",
+         "line 3: mean expects an integer index and a float"),
+        ("group 0\nfamily bernoulli\n", "missing arms line"),
+        ("arms 2\nfamily bernoulli\n", "missing group lines"),
+        ("arms 2\ngroup 0\nfamily bernoulli\nmean 2 0.5\n",
+         r"line 4: mean index 2 outside \[0, 2\)"),
+    ])
+    def test_malformed_line_named(self, tmp_path, text, message):
+        with pytest.raises(InvalidEnvironmentError, match=message):
+            load_table_env(self._write(tmp_path, text))
 
     def test_poisson_mean_above_bound_rejected(self, tmp_path):
         path = self._write(tmp_path, "arms 2\ngroup 0\nfamily poisson\n"

@@ -151,6 +151,16 @@ class TestRunExperiment:
         assert all(s == 0.0 for s in result.summary.std_cum_regret)
         assert result.summary.num_trials == 1
 
+    def test_no_traces_rejected(self):
+        with pytest.raises(ValueError, match="need at least one trace"):
+            summarize([])
+
+    def test_no_trials_rejected(self):
+        spec = ExperimentSpec(chain_env(3, 2, "bernoulli"), PolicyConfig("random"),
+                              horizon=10, trials=0, base_seed=0, log_every=5)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            run_experiment(spec)
+
     def test_mismatched_grids_rejected(self):
         env = chain_env(3, 2, "bernoulli")
         cfg = PolicyConfig("random")

@@ -95,6 +95,10 @@ class TestConstructionErrors:
         with pytest.raises(ZeroArmCountError):
             Hypergraph(2, [2, 0], [[0, 1]])
 
+    def test_no_agents(self):
+        with pytest.raises(HypergraphError, match="num_agents must be >= 1, got 0"):
+            Hypergraph(0, [], [])
+
     def test_length_mismatch(self):
         with pytest.raises(HypergraphError):
             Hypergraph(3, [2, 2], [[0, 1, 2]])

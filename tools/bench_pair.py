@@ -2,17 +2,22 @@
 
     python3 tools/bench_pair.py --parent HEAD --tag ve_kernel --pairs 10 --seed 1
 
-Run from the repository root. The parent commit is exported with
+Run from the repository root. The workloads, the run length, the
+end-to-end metrics, whether each is better lower or higher, and each
+metric's bound are read from BENCHMARK.json. The parent commit is exported with
 `git archive` into a temporary directory (no worktree is registered).
 For every workload, pairs of `perfbench/run.py --trace 0` runs alternate
 between the parent tree and the working tree, the side that runs first
 alternating too, so slow phases of a shared machine fall on both sides.
 The result goes to BENCH_<tag>.json in the working tree: per workload
 and side, the median, quartiles and every run of each end-to-end
-metric, the pairs the working tree won, the checkpoint digests and the
-failed counts, with nproc and the load average around the runs. It also
-records the line count of every `.py` file under `src/` in both trees
-(`src_lines`), the ledger a change reports its net size from.
+metric, the pairs the working tree won, a verdict per end-to-end metric
+(the relative change of the median, signed so that positive is worse,
+its bound and whether the change is worse than the bound), the
+checkpoint digests and the failed counts, with nproc and the load
+average around the runs. It also records the line count of every `.py`
+file under `src/` in both trees (`src_lines`), the ledger a change
+reports its net size from.
 
 With --ve-costs the file also records, for every benchmark graph whose
 rounds use variable elimination, what the working tree's compiled VE
@@ -40,8 +45,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("acceptance_mix", "chain100_single", "restricted_first_pull", "brute_setup")
-LOWER_IS_BETTER = {"setup_s", "wall_s", "regret_final", "peak_rss_mb"}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 
 
 def export_tree(rev: str, dest: Path) -> str:
@@ -85,6 +90,15 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(metric: dict, parent: float, change: float) -> dict:
+    """The change of an end-to-end metric's median relative to the
+    parent's (every end-to-end metric is positive), signed so that
+    positive is worse, against its bound."""
+    worse = (change - parent if metric["better"] == "lower" else parent - change) / parent
+    return {"worse_by": worse, "bound": metric["bound"],
+            "worse_than_bound": worse > metric["bound"]}
+
+
 def compare_pairs(workload: str, trees: dict, pairs: int, seed: int, seconds: float) -> dict:
     runs = {"parent": [], "change": []}
     for i in range(pairs):
@@ -105,10 +119,13 @@ def compare_pairs(workload: str, trees: dict, pairs: int, seed: int, seconds: fl
         }
     wins = {}
     for name in runs["parent"][0]["metrics"]:
-        sign = -1 if name in LOWER_IS_BETTER else 1
+        sign = -1 if END_TO_END[name]["better"] == "lower" else 1
         wins[name] = sum(sign * (c["metrics"][name] - p["metrics"][name]) > 0
                          for p, c in zip(runs["parent"], runs["change"]))
     out["change_wins_of_pairs"] = wins
+    out["verdict"] = {name: verdict(metric, out["parent"]["metrics"][name]["median"],
+                                    out["change"]["metrics"][name]["median"])
+                      for name, metric in END_TO_END.items()}
     return out
 
 
@@ -197,10 +214,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
     parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=5)
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    parser.add_argument("--workloads", nargs="+", default=workloads, choices=workloads)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--ve-costs", action="store_true")
     args = parser.parse_args(argv)
     if args.pairs < 5:
