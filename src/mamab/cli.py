@@ -77,7 +77,9 @@ _TYPE_NAMES = {int: "integer", float: "number", _number_or_ln_T: "number or ln_T
 # The config schema: key -> (type, default, kinds that accept it). A kind
 # is an environment or policy kind; None accepts the key in every run. A
 # default of None makes the key required; a callable default is computed
-# from the values of the keys above it and the config path.
+# from the values of the keys above it and the config path. Without a
+# policy nothing runs, so the run keys are optional and None if not given.
+_RUN_KEYS = ("T", "trials", "seed", "log_every")
 SCHEMA = {
     "env": (str, None, None),
     "policy": (str, None, None),
@@ -118,8 +120,8 @@ def _owned(build, sources: dict, *args, **kwargs):
 
 @dataclass(frozen=True)
 class RunConfig(ExperimentSpec):
-    """A parsed run: the built experiment and where its CSVs go. The
-    policy is None when the config was parsed without one (the oracle)."""
+    """A parsed run: the built experiment and where its CSVs go. Parsed
+    without a policy (the oracle), the policy and each absent run key are None."""
 
     out_prefix: str
 
@@ -133,7 +135,10 @@ def _build_env(kind: str, params: dict, sources: dict) -> Environment:
                       random.Random(params["env_seed"]))
     if kind == "lower_bound":
         return _owned(lower_bound_env, sources, **params)
-    return load_table_env(params["table_file"])
+    try:
+        return load_table_env(params["table_file"])
+    except ValueError as exc:
+        raise ConfigError(f"table file {params['table_file']}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -207,6 +212,9 @@ def parse_config(path: Optional[str] = None,
                 raise ConfigError(
                     f"invalid value for '{key}' ({sources[key]}): expected "
                     f"{_TYPE_NAMES[kind]}, got {raw!r}") from None
+        elif policy_kind is None and key in _RUN_KEYS:
+            values[key] = None
+            continue
         elif default is None:
             raise ConfigError(f"missing required key '{key}'")
         elif callable(default):

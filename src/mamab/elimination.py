@@ -22,11 +22,11 @@ Two paths run a schedule. The interpreter loops over its steps and
 cells. Once a graph has been argmaxed more than COMPILE_AFTER times, the
 schedule is emitted as loop-free Python source (one local per merged
 cell, one strict `>` per candidate arm, constant-index backtracking),
-compiled in chunks of about CHUNK_LINES lines, cached on the graph and
-run instead, 4-11x faster on the benchmark graphs. The interpreter stays
-the cold path (compiling costs 60-130 interpreted calls, so set-up,
-which argmaxes a graph once or twice, never pays it) and the fallback
-for graphs with a merged table over CHUNK_LINES cells.
+compiled in chunks of about CHUNK_LINES lines, cut between any two
+output rows, cached on the graph and run instead, 4-11x faster on the
+benchmark graphs. Every schedule compiles. The interpreter stays the
+cold path (compiling costs 60-130 interpreted calls, so set-up, which
+argmaxes a graph once or twice, never pays it) and the reference.
 The kernel adds the same floats in the same order and starts the value
 at 0.0 as the interpreter does, so both paths give bit-identical results.
 `_Emitter`, which cuts the source into chunks, lives here with its one
@@ -66,7 +66,6 @@ structure, not on the scores. For the brute oracle it is (joint arms) x
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -170,14 +169,11 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
     op_count = 0
     stored = 0             # entries of every cell-map column that is not a range
     for agent in range(h.num_agents - 1, -1, -1):
+        # some table holds agent, as every agent is in a group; all later
+        # agents are eliminated, so agent is the maximum of the union and
+        # occupies its last (stride-1) axis
         bases = sorted(holding[agent])
-        if not bases:
-            # cannot happen: every agent is in a group, and factors touching
-            # agent i survive until agent i's turn under descending order
-            raise AssertionError(f"no factor contains agent {agent}")
         union = sorted(set().union(*(alive[b][0] for b in bases)))
-        # all later agents are already eliminated, so agent is the maximum
-        # of the union and occupies the last (stride-1) axis
         assert union[-1] == agent
         union_counts = [h.arm_counts[i] for i in union]
         merged_size = math.prod(union_counts)
@@ -230,7 +226,7 @@ class _Emitter:
         self.chunks: list[str] = []
 
     def fits(self, n: int) -> bool:
-        """Whether `n` more lines fit the open chunk; an empty one takes any."""
+        """Whether `n` more lines (a close's among them) fit; an empty chunk takes any."""
         return not self.lines or len(self.lines) + n <= CHUNK_LINES
 
     def close(self, *tail: str) -> None:
@@ -241,59 +237,61 @@ class _Emitter:
         self.lines.clear()
 
 
-def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
+def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]]:
     """Loop-free source performing `sched`, as forward chunks
     `f(s, T, G)` (the last one returns the value) and backtrack chunks
     `b(G, A)` (each returns A extended by its agents' arms, agent 0
-    first), each about CHUNK_LINES lines. A table is named by its first
-    slot: slots below A_loc are leaf cells, read from `s` in place; local
-    `x<slot>` holds a step output's cell within one chunk, T carries
-    output tables across chunks keyed by first slot, and G the per-step
-    maximizers. Every literal is an integer from the schedule. None when
-    a step's merged table exceeds CHUNK_LINES."""
-    if any(step.merged_size > CHUNK_LINES for step in sched.steps):
-        return None
+    first), each about CHUNK_LINES lines. A chunk ends between any two
+    output rows; a row's k candidate lines stay together. Slots below
+    A_loc are leaf cells, read from `s` in place; local `x<slot>` holds
+    an output cell in the chunk that computed it, which stores it as
+    `T[slot]` if a later chunk reads it, and G[j] gets step j's
+    maximizers one piece per chunk. Every literal is an integer from the
+    schedule."""
     leaves = sched.steps[0].out_slot          # A_loc: the first output slot
-    tables = {step.out_slot: range(step.out_slot, step.out_slot + step.out_size)
-              for step in sched.steps}
+    # slot -> the last row (numbered over all steps) that reads it;
+    # the return reads the scalars
+    last_read = dict.fromkeys(sched.scalars, math.inf)
+    row = 0
+    for step in sched.steps:
+        for col in step.inputs:
+            last_read.update((slot, row + c // step.k) for c, slot in enumerate(col))
+        row += step.out_size
+    live = set()           # cells of the open chunk that a later row reads
 
     def ref(slot):
-        return f"x{slot}" if slot >= leaves else f"s[{slot}]"
+        return f"s[{slot}]" if slot < leaves else f"x{slot}" if slot in live else f"T[{slot}]"
 
-    def cells(base):
-        return "".join(f"x{c}, " for c in tables[base])
+    def maximizers(j, first, stop):
+        # G[j]'s piece for rows first .. stop - 1, if the step has a choice
+        if sched.steps[j].k == 1 or first == stop:
+            return []
+        return [f"G[{j}] {'+=' if first else '='} ({''.join(f'g{r}, ' for r in range(first, stop))})"]
 
     forward = _Emitter("def f(s, T, G):")
     lines = forward.lines
-    pending = set()        # tables of the open chunk no step has consumed yet
+    row = 0
     for j, step in enumerate(sched.steps):
-        if not forward.fits(step.merged_size + 1 + len(step.inputs)):
-            forward.close(*(f"T[{base}] = ({cells(base)})" for base in sorted(pending)))
-            pending = set()
-        for col in step.inputs:
-            base = col[0]
-            if base >= leaves and base not in pending:
-                lines.append(f"{cells(base)}= T[{base}]")
-            pending.discard(base)
         k = step.k
+        first = 0          # first row of step j in the open chunk
         for r in range(step.out_size):
-            terms = [" + ".join(ref(col[c]) for col in step.inputs)
-                     for c in range(r * k, r * k + k)]
-            out = f"x{step.out_slot + r}"
-            if k == 1:
-                lines.append(f"{out} = {terms[0]}")
-                continue
+            # the row, its piece of G[j] and a store per live cell, its own included
+            if not forward.fits(k + (k > 1) + len(live) + 1):
+                forward.close(*maximizers(j, first, r), *(f"T[{x}] = x{x}" for x in sorted(live)))
+                live.clear()
+                first = r
+            cells = [[col[c] for col in step.inputs] for c in range(r * k, r * k + k)]
+            terms = [" + ".join(map(ref, cell)) for cell in cells]
+            live -= {x for cell in cells for x in cell if last_read[x] == row}
+            out = step.out_slot + r
+            live.add(out)
+            row += 1
             # strict > keeps the smallest maximizing arm, as the interpreter does
-            lines.append(f"{out} = {terms[0]}; g{r} = 0")
-            lines += [f"if (v := {terms[a]}) > {out}: {out} = v; g{r} = {a}"
+            lines.append(f"x{out} = {terms[0]}" + (f"; g{r} = 0" if k > 1 else ""))
+            lines += [f"if (v := {terms[a]}) > x{out}: x{out} = v; g{r} = {a}"
                       for a in range(1, k)]
-        if k > 1:
-            lines.append(f"G[{j}] = ({''.join(f'g{r}, ' for r in range(step.out_size))})")
-        pending.add(step.out_slot)
-    for slot in sched.scalars:
-        if slot not in pending:
-            lines.append(f"{cells(slot)}= T[{slot}]")
-    forward.close("return 0.0" + "".join(f" + x{slot}" for slot in sched.scalars))
+        lines += maximizers(j, first, step.out_size)
+    forward.close("return 0.0" + "".join(f" + {ref(slot)}" for slot in sched.scalars))
 
     backward = _Emitter("def b(G, A):")
     lines = backward.lines
@@ -322,14 +320,10 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]] | None:
 
 
 def _compile_kernel(sched: _Schedule, num_agents: int):
-    """scores -> (arms, value), computed by the functions `_kernel_source`
-    emits. Falls back to the interpreter when the schedule has no kernel
-    source."""
-    source = _kernel_source(sched)
-    if source is None:
-        return functools.partial(_interpret, sched, num_agents)
-    *head, last = _load(source[0], "<ve kernel>")
-    backward = _load(source[1], "<ve kernel>")
+    """scores -> (arms, value), computed by the functions `_kernel_source` emits."""
+    forward, backward = _kernel_source(sched)
+    *head, last = _load(forward, "<ve kernel>")
+    backward = _load(backward, "<ve kernel>")
     num_steps = len(sched.steps)
 
     def kernel(s):
@@ -406,9 +400,8 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     next compiles the graph's kernel, which every later call runs. Both
     add the same floats in the same order and compare with the same
     strict >, so results do not depend on the path. A graph with a
-    merged table over CHUNK_LINES cells stays on the interpreter; one
-    over DEFAULT_BRUTE_CAP cells, or cell maps over DEFAULT_BRUTE_CAP
-    entries in all, raise ValueError."""
+    merged table over DEFAULT_BRUTE_CAP cells, or cell maps over
+    DEFAULT_BRUTE_CAP entries in all, raises ValueError."""
     scores = _checked_scores(scores, h.num_local_arms)
     kernel = h._ve_kernel
     if kernel is None:

@@ -83,9 +83,7 @@ class RestrictedCandidates:
 
     def __iter__(self):
         yield self.optimal
-        rho = len(self.offsets)
-        for combo in itertools.product(range(1, self.num_decoys + 1), repeat=rho):
-            yield combo
+        yield from itertools.product(range(1, self.num_decoys + 1), repeat=len(self.offsets))
 
     def argmax(self, scores: Sequence[float]) -> EliminationResult:
         """The best candidate, its value and the score cells read."""
@@ -270,11 +268,13 @@ def lower_bound_env(rho: int, L: int, X: float, delta: float) -> Environment:
         raise InvalidEnvironmentError(f"X must be finite and exceed 3, got {X}")
     if not 0 < delta < math.inf:
         raise InvalidEnvironmentError(f"delta must be positive and finite, got {delta}")
+    means = ([X + delta] + [X] * L) * rho
+    if not math.isfinite(sum(means)):
+        # the sum bounds every total a maximizer forms; name its larger part
+        raise InvalidEnvironmentError(
+            f"{'delta' if delta > (L + 1) * X else 'X'} is too large: the {len(means)} "
+            f"means (X = {X}, delta = {delta}) sum beyond the float range")
     graph = Hypergraph(rho, [L + 1] * rho, [[e] for e in range(rho)])
-    means = []
-    for _ in range(rho):
-        means.append(X + delta)
-        means.extend([X] * L)
     candidates = RestrictedCandidates(offsets=graph.local_offsets,
                                       num_decoys=L, optimal=(0,) * rho)
     return make_environment(graph, means, ["gaussian"] * rho,

@@ -31,8 +31,7 @@ JointAssignment = tuple[int, ...]
 # environment set-up uses each graph only once or twice
 COMPILE_AFTER = 32
 # lines (flat kernel: groups) per compiled chunk function, which bounds the
-# compiler's memory; a VE schedule with a merged table larger than this
-# stays on the interpreter
+# compiler's memory
 CHUNK_LINES = 120
 
 

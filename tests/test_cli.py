@@ -300,6 +300,10 @@ KIND_BASE = {
                  "policy": "eps_mats", "epsilon": "0.5"},
     "ucb": {"env": "bernoulli_chain", "m": "3", "d": "2",
             "policy": "ucb_baseline", "ucb_range": "1"},
+    # 2 x 67 means at the default L = 66
+    "lower_bound_rho2": {"env": "lower_bound", "rho": "2", "policy": "random"},
+    "lower_bound_big_delta": {"env": "lower_bound", "rho": "2", "delta": "1e308",
+                              "policy": "random"},
 }
 
 OWNER_ERRORS = [
@@ -310,6 +314,8 @@ OWNER_ERRORS = [
     ("ucb", "ucb_range", "0"),
     ("eps_mats", "epsilon", "inf"), ("eps_mats", "c", "inf"),
     ("ucb", "ucb_range", "inf"),
+    # finite X and delta whose means overflow: X + delta, then their sum
+    ("lower_bound_big_delta", "X", "1e308"), ("lower_bound_rho2", "X", "1e307"),
 ]
 
 
@@ -460,6 +466,53 @@ class TestMainCommands:
                         "2 1,1.000000", "2 2,1.000000"]
         assert main(args + ["--max-joint", "4"]) == 1
         assert "candidate set has 5 assignments" in capsys.readouterr().err
+
+    def test_oracle_needs_no_run_keys(self, capsys):
+        # nothing runs, so T, trials and seed may be left out
+        args = ["oracle", "--set", "env=lower_bound", "--set", "rho=2", "--set", "L=2"]
+        assert main(args) == 0
+        rows = capsys.readouterr().out.split("arm,delta\n", 1)[1].strip().splitlines()
+        assert rows == ["0 0,0.000000", "1 1,1.000000", "1 2,1.000000",
+                        "2 1,1.000000", "2 2,1.000000"]
+        cfg = parse_config(None, ["env=lower_bound", "rho=2", "L=2"], need_policy=False)
+        assert (cfg.horizon, cfg.trials, cfg.base_seed, cfg.log_every) == (None,) * 4
+        # a run key that is given is still checked
+        assert main(args + ["--set", "T=ten"]) == 1
+        assert "invalid value for 'T'" in capsys.readouterr().err
+        assert main(args + ["--trials", "0"]) == 1
+        assert "'trials' must be >= 1" in capsys.readouterr().err
+
+    def test_oracle_all_assignments_optimal(self, tmp_path, capsys):
+        table = tmp_path / "flat.txt"
+        table.write_text("arms 2 2\ngroup 0 1\nfamily gaussian\n"
+                         + "".join(f"mean {j} 0.5\n" for j in range(4)))
+        assert main(["oracle", "--set", "env=table", "--set", f"table_file={table}"]) == 0
+        out = capsys.readouterr().out
+        assert "delta_min: none (all assignments optimal)\n" in out
+        assert "delta_max: 0.000000\n" in out
+
+    def test_table_file_error_names_the_file(self, tmp_path, capsys):
+        # line 4 of the table file is bad; line 4 of the config is fine
+        table = tmp_path / "bad_table.txt"
+        table.write_text("arms 2\ngroup 0\nfamily bernoulli\nbogus 1\n")
+        cfg = write_cfg(tmp_path, f"env = table\ntable_file = {table}\npolicy = random\n"
+                                  "T = 10\ntrials = 1\nseed = 0\n")
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: table file {table}: line 4: unknown directive 'bogus'" in err
+
+    def test_broken_pipe_exits_quietly(self, monkeypatch, capsys):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def close(self):
+                raise BrokenPipeError
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["oracle", "--set", "env=bernoulli_chain", "--set", "m=2",
+                     "--set", "d=2"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_oracle_respects_cap(self, capsys):
         rc = main(["oracle", "--set", "env=bernoulli_chain", "--set", "m=12",

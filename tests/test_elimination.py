@@ -10,6 +10,7 @@ from mamab import elimination
 from mamab.elimination import (
     CHUNK_LINES, COMPILE_AFTER, DEFAULT_BRUTE_CAP, _build_schedule, _compile_kernel,
     _interpret, _kernel_source, assignment_value, brute_argmax, joint_totals, ve_argmax)
+from mamab.environments import gem_mining_env
 from mamab.hypergraph import Hypergraph, enumerate_joint
 
 from test_hypergraph import assert_integer_literals_only, chain_groups, random_hypergraph
@@ -286,37 +287,73 @@ def star(m):
     return Hypergraph(m, [2] * m, [[i, m - 1] for i in range(m - 1)])
 
 
+def gem_graph(villages, env_seed):
+    return gem_mining_env(villages, random.Random(env_seed)).graph
+
+
 class TestCompiledKernel:
     """The compiled kernel against the interpreter it replaces and the
     brute-force oracle: the same argmax and a bitwise-equal value."""
 
-    def check(self, h, scores):
+    def check(self, h, *score_vectors, brute=True):
         sched = _build_schedule(h)
         kernel = _compile_kernel(sched, h.num_agents)
         assert not isinstance(kernel, functools.partial)
-        arms, value = kernel(scores)
-        ref_arms, ref_value = _interpret(sched, h.num_agents, scores)
-        assert arms == ref_arms
-        assert value.hex() == ref_value.hex()
-        assert arms == brute_argmax(h, scores).argmax
+        for scores in score_vectors:
+            arms, value = kernel(scores)
+            ref_arms, ref_value = _interpret(sched, h.num_agents, scores)
+            assert arms == ref_arms
+            assert value.hex() == ref_value.hex()
+            if brute:
+                assert arms == brute_argmax(h, scores).argmax
 
     @staticmethod
     def compilable(h):
-        return (h.num_joint_arms <= 1 << 14
-                and _kernel_source(_build_schedule(h)) is not None)
+        # small enough for the brute-force oracle
+        return h.num_joint_arms <= 1 << 14
 
     def test_random_hypergraphs(self):
-        # shuffled (unsorted) members, single-arm agents, arm counts 1-4
+        # shuffled (unsorted) members, single-arm agents, arm counts 1-4,
+        # leaf tables of up to 4**5 = 1,024 cells, which span chunks
         rng = random.Random(9090)
-        checked = 0
-        for _ in range(300):
-            h = random_hypergraph(rng, max_agents=7, max_arms=4)
+        wide = [Hypergraph(6, [4, 4, 4, 4, 4, 2], [[3, 0, 4, 1, 2], [5, 2], [0, 5]]),
+                Hypergraph(7, [2, 4, 4, 4, 4, 4, 3], [[6, 0], [2, 5, 1, 6, 4], [3, 1]])]
+        checked = spanning = largest = 0
+        for h in wide + [random_hypergraph(rng, max_agents=7, max_arms=4, max_group_size=5)
+                         for _ in range(300)]:
             if not self.compilable(h):
                 continue
             for _ in range(3):
                 self.check(h, [rng.uniform(-2.0, 2.0) for _ in range(h.num_local_arms)])
             checked += 1
+            spanning += max(step.merged_size for step in _build_schedule(h).steps) > CHUNK_LINES
+            largest = max(largest, *h.group_sizes)
         assert checked > 200
+        assert spanning > 10
+        assert largest == 1024
+
+    def test_gem_mining(self):
+        # every Gem Mining graph from 10 villages up merges tables of
+        # 128-256 cells, more than one chunk holds
+        rng = random.Random(42)
+        for villages in (10, 20, 50, 100):
+            for env_seed in (42, 43, 44):
+                h = gem_graph(villages, env_seed)
+                self.check(h, *([rng.choice((0.0, 0.5, rng.random()))
+                                 for _ in range(h.num_local_arms)] for _ in range(3)),
+                           brute=False)
+
+    def test_gem_mining_compiles_after_reuse(self):
+        h = gem_graph(10, 42)
+        assert max(step.merged_size for step in _build_schedule(h).steps) > CHUNK_LINES
+        rng = random.Random(10)
+        for _ in range(COMPILE_AFTER + 1):
+            scores = [rng.random() for _ in range(h.num_local_arms)]
+            res = ve_argmax(h, scores)
+        assert not isinstance(h._ve_kernel, functools.partial)
+        arms, value = _interpret(h._ve_schedule, h.num_agents, scores)
+        assert res.argmax == arms
+        assert res.value.hex() == value.hex()
 
     def test_many_single_arm_agents(self):
         h = many_single_arm_graph()
@@ -378,14 +415,17 @@ class TestCompiledKernel:
 
     def test_source_interpolates_only_schedule_integers(self):
         rng = random.Random(5)
-        graphs = [random_hypergraph(rng, max_agents=7, max_arms=4) for _ in range(40)]
+        graphs = [random_hypergraph(rng, max_agents=7, max_arms=4, max_group_size=5)
+                  for _ in range(40)]
         graphs = [h for h in graphs if self.compilable(h)]
-        graphs += [many_single_arm_graph(), Hypergraph(150, [2] * 150, chain_groups(150, 2))]
+        graphs += [many_single_arm_graph(), Hypergraph(150, [2] * 150, chain_groups(150, 2)),
+                   gem_graph(10, 42), gem_graph(20, 42), star(10)]
         name = r"(s|T|G|A|v|[xg]\d+_?\d*|a\d+)"
         for h in graphs:
             forward, backward = _kernel_source(_build_schedule(h))
             for text in forward + backward:
-                # the budget plus the stores and loads around its edges
+                # the header, the budget with its stores, and the backtrack's
+                # loads of earlier agents' arms
                 assert len(text.splitlines()) <= 1 + CHUNK_LINES + h.num_agents
                 assert_integer_literals_only(text, ("f", "b"), name)
 
@@ -456,16 +496,21 @@ class TestSlotSpace:
 
 
 class TestScheduleSize:
-    def test_star_with_late_centre_stays_interpreted(self):
-        h = star(16)
+    def test_star_with_late_centre_compiles(self):
+        h = star(10)
         sched = _build_schedule(h)
-        assert max(step.merged_size for step in sched.steps) == 1 << 16
-        assert _kernel_source(sched) is None
-        h._ve_calls = COMPILE_AFTER          # the next call would compile
+        assert max(step.merged_size for step in sched.steps) == 1 << 10
+        forward, _ = _kernel_source(sched)
+        assert len(forward) > 8               # the 1,024-cell table spans chunks
+        h._ve_calls = COMPILE_AFTER          # the next call compiles
         scores = [float(j % 5) for j in range(h.num_local_arms)]
         res = ve_argmax(h, scores)
-        assert isinstance(h._ve_kernel, functools.partial)
+        assert h._ve_kernel is not None
+        assert not isinstance(h._ve_kernel, functools.partial)
         assert res.argmax == brute_argmax(h, scores).argmax
+        arms, value = _interpret(sched, h.num_agents, scores)
+        assert res.argmax == arms
+        assert res.value.hex() == value.hex()
 
     def test_larger_star_refused_before_allocating(self, monkeypatch):
         h = star(22)

@@ -182,6 +182,14 @@ class TestLowerBoundEnvironment:
             lower_bound_env(2, 2, math.inf, 0.5)
         with pytest.raises(InvalidEnvironmentError, match="^delta "):
             lower_bound_env(2, 2, 3.5, math.inf)
+        # finite X and delta whose means overflow: X + delta, then the sum of
+        # the 2 x 67 means; the larger part is named
+        with pytest.raises(InvalidEnvironmentError, match="^X is too large"):
+            lower_bound_env(2, 2, 1e308, 1e308)
+        with pytest.raises(InvalidEnvironmentError, match="^X is too large"):
+            lower_bound_env(2, 66, 1e307, 1.0)
+        with pytest.raises(InvalidEnvironmentError, match="^delta is too large"):
+            lower_bound_env(2, 66, 3.5, 1.7e308)
 
     def test_restricted_argmax_matches_literal_scan(self):
         rng = random.Random(31)

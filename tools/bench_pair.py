@@ -14,18 +14,18 @@ and side, the median, quartiles and every run of each end-to-end
 metric, the pairs the working tree won, a verdict per end-to-end metric
 (the relative change of the median, signed so that positive is worse,
 its bound and whether the change is worse than the bound), the
-checkpoint digests and the failed counts, with nproc and the load
-average around the runs. It also records the line count of every `.py`
-file under `src/` in both trees (`src_lines`), the ledger a change
-reports its net size from.
+checkpoint digests, whether both sides' digests are the same set
+(`digests_equal`: the outputs are bit-identical) and the failed counts,
+with nproc and the load average around the runs. It also records the
+line count of every `.py` file under `src/` in both trees
+(`src_lines`), the ledger a change reports its net size from.
 
 With --ve-costs the file also records, for every benchmark graph whose
 rounds use variable elimination, what the working tree's compiled VE
 kernel costs to build and how much faster it runs than the interpreter,
-with the graph's largest merged table and whether it compiles at all (a
-graph with a merged table over CHUNK_LINES cells stays interpreted);
-and for every benchmark graph, restricted-action ones included, the same
-for the compiled flat-index kernel against the loop it replaces.
+with the graph's largest merged table; and for every benchmark graph,
+restricted-action ones included, the same for the compiled flat-index
+kernel against the loop it replaces.
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ def compare_pairs(workload: str, trees: dict, pairs: int, seed: int, seconds: fl
         sign = -1 if END_TO_END[name]["better"] == "lower" else 1
         wins[name] = sum(sign * (c["metrics"][name] - p["metrics"][name]) > 0
                          for p, c in zip(runs["parent"], runs["change"]))
+    out["digests_equal"] = out["parent"]["digests"] == out["change"]["digests"]
     out["change_wins_of_pairs"] = wins
     out["verdict"] = {name: verdict(metric, out["parent"]["metrics"][name]["median"],
                                     out["change"]["metrics"][name]["median"])
@@ -163,8 +164,8 @@ def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
     """Best-of-`reps` compile time of each VE-using benchmark graph's
     kernel, and time per call of the interpreter and of the kernel on
     `calls` random score vectors, in the working tree, with the largest
-    merged table and whether the schedule compiles. Break-even calls are
-    None for a graph whose kernel is not faster."""
+    merged table. Break-even calls are None for a graph whose kernel is
+    not faster."""
     graphs = benchmark_graphs()
     from mamab import elimination
 
@@ -186,7 +187,6 @@ def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
             "compile_ms": compile_s * 1e3, "interpreted_us": interp * 1e6,
             "kernel_us": fast * 1e6, "op_count": sched.op_count,
             "max_merged": max(step.merged_size for step in sched.steps),
-            "compiles": elimination._kernel_source(sched) is not None,
             "break_even_calls": break_even(compile_s, interp, fast)}
     return costs
 
