@@ -23,17 +23,15 @@ cells. Once a graph has been argmaxed more than COMPILE_AFTER times, the
 schedule is emitted as loop-free Python source (one local per merged
 cell, one strict `>` per candidate arm, constant-index backtracking),
 compiled in chunks of about CHUNK_LINES lines, cut between any two
-output rows, cached on the graph and run instead, 4-11x faster on the
-benchmark graphs. Every schedule compiles. The interpreter stays the
-cold path (compiling costs 60-130 interpreted calls, so set-up, which
-argmaxes a graph once or twice, never pays it) and the reference.
-The kernel adds the same floats in the same order and starts the value
-at 0.0 as the interpreter does, so both paths give bit-identical results.
-`_Emitter`, which cuts the source into chunks, lives here with its one
-user. The compile step with empty builtins (`_load`), COMPILE_AFTER and
+output rows, and run instead, 4-11x faster on the benchmark graphs;
+every schedule compiles. A chunk reads what an earlier one computed
+inline: a cell as `T[slot]`, an arm as `A[agent]`. The interpreter stays
+the cold path and the reference: both add the same floats in the same
+order from 0.0, so their results are bit-identical. The graph caches
+the schedule (`_ve_schedule`), which counts the uncompiled calls and
+holds the kernel. `_load`, COMPILE_AFTER (with what a compile costs) and
 CHUNK_LINES are shared with the flat-index kernel and live in
-`hypergraph`; this module re-exports the two constants. Each path keeps
-its own plain call count on the graph (`_ve_calls` here).
+`hypergraph`; this module re-exports the two constants.
 
 `_build_schedule` keeps an index from each agent to the alive factors
 that hold it, so on graphs of bounded scope its cost grows linearly with
@@ -69,7 +67,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,7 +116,6 @@ class _Step:
     # union's C order (a range when the table's layout is the union's);
     # cell 0 is the table's first slot, col[0], which names the table
     inputs: list
-    merged_size: int
     out_size: int
     out_slot: int                 # first of the output table's slots
     rest_scope: tuple
@@ -132,6 +129,8 @@ class _Schedule:
     steps: list
     scalars: list                 # slot of each scalar table, ascending
     op_count: int
+    calls: int = 0                # uncompiled ve_argmax calls so far
+    kernel: Callable | None = None    # compiled once calls pass COMPILE_AFTER
 
 
 def _cell_map(union_scope, union_counts, sub_scope, sub_weights, base):
@@ -200,8 +199,7 @@ def _build_schedule(h: Hypergraph) -> _Schedule:
         rest_scope = tuple(union[:-1])
         rest_weights = _mixed_radix_weights(union_counts[:-1])
         out_size = merged_size // k
-        steps.append(_Step(agent, k, inputs, merged_size, out_size, next_slot,
-                           rest_scope, rest_weights))
+        steps.append(_Step(agent, k, inputs, out_size, next_slot, rest_scope, rest_weights))
         alive[next_slot] = (rest_scope, rest_weights, out_size)
         for i in rest_scope:
             holding[i].add(next_slot)
@@ -240,14 +238,14 @@ class _Emitter:
 def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]]:
     """Loop-free source performing `sched`, as forward chunks
     `f(s, T, G)` (the last one returns the value) and backtrack chunks
-    `b(G, A)` (each returns A extended by its agents' arms, agent 0
-    first), each about CHUNK_LINES lines. A chunk ends between any two
-    output rows; a row's k candidate lines stay together. Slots below
-    A_loc are leaf cells, read from `s` in place; local `x<slot>` holds
-    an output cell in the chunk that computed it, which stores it as
-    `T[slot]` if a later chunk reads it, and G[j] gets step j's
-    maximizers one piece per chunk. Every literal is an integer from the
-    schedule."""
+    `b(G, A)` (each reads earlier chunks' arms as `A[i]` and returns A
+    extended by its own, agent 0 first), each about CHUNK_LINES lines. A
+    chunk ends between any two output rows; a row's k candidate lines
+    stay together. Slots below A_loc are leaf cells, read from `s` in
+    place; local `x<slot>` holds an output cell in the chunk that computed
+    it, which stores it as `T[slot]` if a later chunk reads it, and G[j]
+    gets step j's maximizers one piece per chunk. Every literal is an
+    integer from the schedule."""
     leaves = sched.steps[0].out_slot          # A_loc: the first output slot
     # slot -> the last row (numbered over all steps) that reads it;
     # the return reads the scalars
@@ -295,31 +293,24 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]]:
 
     backward = _Emitter("def b(G, A):")
     lines = backward.lines
-    first = 0              # lowest agent of the open chunk
-    loaded = set()         # agents of earlier chunks read into locals
+    first = 0              # lowest agent of the open chunk; A holds the arms below it
     for j in range(len(sched.steps) - 1, -1, -1):
         step = sched.steps[j]
         agent = step.agent
-        if not backward.fits(1 + len(step.rest_scope)):
+        if not backward.fits(1):
             backward.close(f"return A + ({''.join(f'a{i}, ' for i in range(first, agent))})")
             first = agent
-            loaded = set()
         if step.k == 1:
             lines.append(f"a{agent} = 0")
             continue
-        for i in step.rest_scope:
-            if i < first and i not in loaded:
-                lines.append(f"a{i} = A[{i}]")
-                loaded.add(i)
-        ctx = " + ".join(f"a{i}" if w == 1 else f"a{i} * {w}"
+        ctx = " + ".join((f"a{i}" if i >= first else f"A[{i}]") + (f" * {w}" if w > 1 else "")
                          for i, w in zip(step.rest_scope, step.rest_weights))
         lines.append(f"a{agent} = G[{j}][{ctx or 0}]")
-    last = sched.steps[0].agent + 1
-    backward.close(f"return A + ({''.join(f'a{i}, ' for i in range(first, last))})")
+    backward.close(f"return A + ({''.join(f'a{i}, ' for i in range(first, len(sched.steps)))})")
     return forward.chunks, backward.chunks
 
 
-def _compile_kernel(sched: _Schedule, num_agents: int):
+def _compile_kernel(sched: _Schedule):
     """scores -> (arms, value), computed by the functions `_kernel_source` emits."""
     forward, backward = _kernel_source(sched)
     *head, last = _load(forward, "<ve kernel>")
@@ -343,7 +334,7 @@ def _compile_kernel(sched: _Schedule, num_agents: int):
 # argmax routines
 # ---------------------------------------------------------------------
 
-def _interpret(sched: _Schedule, num_agents: int, scores: list) -> tuple[JointAssignment, float]:
+def _interpret(sched: _Schedule, scores: list) -> tuple[JointAssignment, float]:
     """Run the schedule's loops over `scores`: the reference the compiled
     kernel reproduces bit for bit."""
     slots = scores[:]         # output tables are appended; the caller's list stays
@@ -380,7 +371,7 @@ def _interpret(sched: _Schedule, num_agents: int, scores: list) -> tuple[JointAs
     for slot in sched.scalars:
         value += slots[slot]
 
-    arms = [0] * num_agents
+    arms = [0] * len(sched.steps)         # one step per agent
     for step, arg in zip(reversed(sched.steps), reversed(choices)):
         ctx = 0
         for agent, w in zip(step.rest_scope, step.rest_weights):
@@ -403,18 +394,17 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     merged table over DEFAULT_BRUTE_CAP cells, or cell maps over
     DEFAULT_BRUTE_CAP entries in all, raises ValueError."""
     scores = _checked_scores(scores, h.num_local_arms)
-    kernel = h._ve_kernel
+    sched = h._ve_schedule
+    if sched is None:
+        sched = h._ve_schedule = _build_schedule(h)
+    kernel = sched.kernel
     if kernel is None:
-        sched = h._ve_schedule
-        if sched is None:
-            sched = h._ve_schedule = _build_schedule(h)
-        h._ve_calls += 1
-        if h._ve_calls <= COMPILE_AFTER:
-            arms, value = _interpret(sched, h.num_agents, scores)
-            return EliminationResult(arms, value, sched.op_count)
-        kernel = h._ve_kernel = _compile_kernel(sched, h.num_agents)
+        sched.calls += 1
+        if sched.calls <= COMPILE_AFTER:
+            return EliminationResult(*_interpret(sched, scores), sched.op_count)
+        kernel = sched.kernel = _compile_kernel(sched)
     arms, value = kernel(scores)
-    return EliminationResult(arms, value, h._ve_schedule.op_count)
+    return EliminationResult(arms, value, sched.op_count)
 
 
 def joint_totals(h: Hypergraph, scores: Sequence[float],

@@ -172,12 +172,16 @@ def first_optimal_pull(env: Environment, cfg: PolicyConfig, horizon: int,
 
 def median_first_optimal_pull(env: Environment, cfg: PolicyConfig, horizon: int,
                               base_seed: int, trials: int) -> float:
-    """Median over trials, counting a never-pulled optimum as horizon + 1
-    (a right-censored observation)."""
+    """Median over trials, counting a never-pulled optimum (censored) as
+    horizon + 1, the largest value, so the loop stops at a censored majority."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     values = []
+    censored = 0
     for i in range(trials):
         hit = first_optimal_pull(env, cfg, horizon, base_seed + i)
+        censored += hit is None
+        if censored > trials // 2:
+            return float(horizon + 1)
         values.append(float(hit) if hit is not None else float(horizon + 1))
     return float(np.median(values))

@@ -26,9 +26,9 @@ JointAssignment = tuple[int, ...]
 
 # COMPILE_AFTER, CHUNK_LINES and `_load` are what the flat kernel here and
 # the VE kernel in `elimination` share. A graph used more than COMPILE_AFTER
-# times on one path compiles that path's kernel: compiling costs about
-# 30-130 calls of the loop it replaces on the benchmark graphs, and
-# environment set-up uses each graph only once or twice
+# times on one path compiles that path's kernel, which costs as much as
+# 44-143 VE interpreter or 26-53 flat loop calls on the benchmark graphs
+# (break-even calls, BENCH_compile_layer.json); set-up uses a graph once or twice
 COMPILE_AFTER = 32
 # lines (flat kernel: groups) per compiled chunk function, which bounds the
 # compiler's memory
@@ -87,15 +87,14 @@ def _load(chunks: list[str], filename: str) -> list[Callable]:
 class Hypergraph:
     """Agent/group structure with precomputed index maps.
 
-    The structure never changes after construction. Three derived objects
-    are cached on it lazily: the VE schedule (`_ve_schedule`), on the
-    first `ve_argmax` call; the compiled VE kernel (`_ve_kernel`), once the
-    graph has been argmaxed more than COMPILE_AFTER times; and the compiled
-    flat-index kernel (`_flat_kernel`), once `flat_indices` has been called
-    more than COMPILE_AFTER times. Each path counts its uncompiled calls in
-    a plain attribute of its own (`_ve_calls`, `_flat_calls`), so a graph
+    The structure never changes after construction. Two caches are kept
+    on it lazily: the VE schedule (`_ve_schedule`), from the first
+    `ve_argmax` call on, which counts that path's calls and holds its
+    compiled kernel; and the flat-index kernel (`_flat_kernel`), compiled
+    once `flat_indices` has been called more than COMPILE_AFTER times
+    (counted in `_flat_calls`). Each path counts on its own, so a graph
     that is only ever indexed (under the `random` policy) still compiles
-    its flat kernel. All three depend on the structure alone, so concurrent
+    its flat kernel. Both depend on the structure alone, so concurrent
     first use is benign: at worst one is built twice, with the same result
     (a lost update of a call count only delays the compile), and instances
     are safe to share across trial runners.
@@ -146,11 +145,8 @@ class Hypergraph:
         self.num_local_arms = sum(self.group_sizes)
         self.num_joint_arms = math.prod(self.arm_counts)
 
-        # elimination schedule, built lazily on the first ve_argmax call,
-        # and the compiled kernels, each built once its path has been reused
+        # the two lazy caches the class docstring describes
         self._ve_schedule = None
-        self._ve_calls = 0
-        self._ve_kernel = None
         self._flat_calls = 0
         self._flat_kernel = None
 

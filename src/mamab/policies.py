@@ -32,7 +32,7 @@ from .hypergraph import Hypergraph, JointAssignment, validate_assignment
 POLICY_KINDS = ("eps_mats", "ucb_baseline", "random")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
     """Hyperparameters for one policy.
 

@@ -1,7 +1,7 @@
 """Smoke tests of tools/bench_pair.py: its --ve-costs report, which
 reaches into the VE schedule and flat-kernel internals that nothing else
 outside tests runs, the `src/` line ledger in every report, and the
-verdict on each end-to-end metric against its bound."""
+verdict on each end-to-end metric against its bound and the claim rules."""
 
 import importlib.util
 import json
@@ -48,10 +48,10 @@ def test_ve_costs_report_a_star_that_spans_chunks(bench_pair, monkeypatch):
 
 
 def test_no_break_even_for_a_slower_kernel(bench_pair, monkeypatch):
-    def slow_kernel(sched, num_agents):
+    def slow_kernel(sched):
         def kernel(scores):
             time.sleep(0.02)
-            return elimination._interpret(sched, num_agents, scores)
+            return elimination._interpret(sched, scores)
         return kernel
 
     monkeypatch.setattr(elimination, "_compile_kernel", slow_kernel)
@@ -110,27 +110,37 @@ def test_report_carries_src_line_ledger(bench_pair, monkeypatch, tmp_path):
 
 
 def test_verdict_flags_a_metric_past_its_bound(bench_pair, monkeypatch, tmp_path):
-    # the change runs 20 % fewer rounds/s (bound 0.15) and takes 5 % more
-    # wall time (bound 0.15); every other metric is unchanged
+    # brute_setup: the change runs 20 % fewer rounds/s (bound 0.15) and
+    # takes 5 % more wall time (bound 0.15); every other metric is unchanged.
+    # chain100_single: setup_s has a wide parent spread, regret_final a
+    # 10/10 win beyond the parent's spread, peak_rss_mb one inside it
     change = tmp_path / "change"
     (change / "src").mkdir(parents=True)
     calls = []
 
     def run_once(tree, workload, seed, seconds):
-        calls.append(tree)
+        calls.append((tree, workload))
         jitter = 1 + 0.001 * len(calls)
         slower = tree == change
-        metrics = {"setup_s": 0.01, "rounds_per_s": 1000.0 * jitter * (0.8 if slower else 1),
-                   "wall_s": 2.0 * jitter * (1.05 if slower else 1), "regret_final": 50.0,
-                   "peak_rss_mb": 40.0}
+        if workload == "brute_setup":
+            metrics = {"setup_s": 0.01, "rounds_per_s": 1000.0 * jitter * (0.8 if slower else 1),
+                       "wall_s": 2.0 * jitter * (1.05 if slower else 1), "regret_final": 50.0,
+                       "peak_rss_mb": 40.0}
+        else:
+            i = calls.count(calls[-1]) - 1          # the pair this run belongs to
+            metrics = {"setup_s": 0.0125 if slower else 0.01 * (1 + 0.5 * (i % 2)),
+                       "rounds_per_s": 1000.0, "wall_s": 2.0,
+                       "regret_final": 50.0 + 0.1 * i - 10 * slower,
+                       "peak_rss_mb": 40.0 + 0.2 * i - 0.1 * slower}
         return {"metrics": metrics, "digest": "d", "failed": 0, "attempted": 3}
 
     monkeypatch.setattr(bench_pair, "ROOT", change)
     monkeypatch.setattr(bench_pair, "export_tree", lambda rev, dest: "0" * 40)
     monkeypatch.setattr(bench_pair, "run_once", run_once)
-    assert bench_pair.main(["--tag", "verdict", "--workloads", "brute_setup"]) == 0
+    assert bench_pair.main(["--tag", "verdict", "--workloads", "brute_setup",
+                            "chain100_single"]) == 0
     report = json.loads((change / "BENCH_verdict.json").read_text())
-    assert report["pairs"] == len(calls) // 2 == 10
+    assert report["pairs"] == len(calls) // 4 == 10
     verdict = report["workloads"]["brute_setup"]["verdict"]
     assert set(verdict) == {"setup_s", "rounds_per_s", "wall_s", "regret_final", "peak_rss_mb"}
     assert verdict["rounds_per_s"]["bound"] == 0.15
@@ -138,7 +148,24 @@ def test_verdict_flags_a_metric_past_its_bound(bench_pair, monkeypatch, tmp_path
     assert verdict["rounds_per_s"]["worse_than_bound"] is True
     assert verdict["wall_s"]["worse_by"] == pytest.approx(0.05, abs=0.01)
     assert verdict["wall_s"]["worse_than_bound"] is False
-    assert verdict["setup_s"] == {"worse_by": 0.0, "bound": 0.25, "worse_than_bound": False}
+    assert verdict["setup_s"] == {"worse_by": 0.0, "bound": 0.25, "worse_than_bound": False,
+                                  "unresolved": False, "gain_supported": False}
+
+    mixed = report["workloads"]["chain100_single"]
+    verdict = mixed["verdict"]
+    # the parent's setup_s runs span 0.01-0.015, 40 % of their median
+    # (bound 0.25); the change's constant 0.0125 beats only half of them
+    assert verdict["setup_s"]["worse_by"] == 0.0
+    assert verdict["setup_s"]["unresolved"] is True
+    assert verdict["setup_s"]["gain_supported"] is False
+    # regret_final: 10 lower in every pair; the parent's quartiles are 0.55 apart
+    assert mixed["change_wins_of_pairs"]["regret_final"] == 10
+    assert verdict["regret_final"]["unresolved"] is False
+    assert verdict["regret_final"]["gain_supported"] is True
+    # peak_rss_mb: 0.1 lower in every pair; the parent's quartiles are 1.1 apart
+    assert mixed["change_wins_of_pairs"]["peak_rss_mb"] == 10
+    assert verdict["peak_rss_mb"]["unresolved"] is False
+    assert verdict["peak_rss_mb"]["gain_supported"] is False
 
 
 def test_digests_equal_flags_one_differing_digest(bench_pair, monkeypatch, tmp_path):

@@ -10,6 +10,7 @@ from mamab.cli import (
     ConfigError,
     SUMMARY_HEADER,
     TRIALS_HEADER,
+    _owned,
     emit_csv,
     main,
     parse_config,
@@ -330,6 +331,19 @@ def test_range_error_names_key_and_location(tmp_path, capsys, kind, key, value):
     err = capsys.readouterr().err
     assert f"'{key}'" in err
     assert f"--set '{key}={value}'" in err
+
+
+def test_owner_error_naming_no_key_is_reraised():
+    # only an error that starts with a config key is a config error
+    error = ValueError("no key here")
+
+    def owner(*args, **kwargs):
+        assert (args, kwargs) == ((1,), {"rho": 2})
+        raise error
+
+    with pytest.raises(ValueError) as caught:
+        _owned(owner, {"rho": "--set 'rho=2'"}, 1, rho=2)
+    assert caught.value is error          # not wrapped in a ConfigError
 
 
 class TestMainCommands:

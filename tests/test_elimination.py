@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,11 @@ class TestJointTotalsLayout:
         assert brute_argmax(h, scores).argmax == ve_argmax(h, scores).argmax
 
 
+def max_merged(sched):
+    # cells of the schedule's largest merged table
+    return max(step.out_size * step.k for step in sched.steps)
+
+
 def star(m):
     # agent m - 1 is the centre, so it is eliminated first and its merged
     # table spans every agent
@@ -297,11 +303,11 @@ class TestCompiledKernel:
 
     def check(self, h, *score_vectors, brute=True):
         sched = _build_schedule(h)
-        kernel = _compile_kernel(sched, h.num_agents)
+        kernel = _compile_kernel(sched)
         assert not isinstance(kernel, functools.partial)
         for scores in score_vectors:
             arms, value = kernel(scores)
-            ref_arms, ref_value = _interpret(sched, h.num_agents, scores)
+            ref_arms, ref_value = _interpret(sched, scores)
             assert arms == ref_arms
             assert value.hex() == ref_value.hex()
             if brute:
@@ -326,7 +332,7 @@ class TestCompiledKernel:
             for _ in range(3):
                 self.check(h, [rng.uniform(-2.0, 2.0) for _ in range(h.num_local_arms)])
             checked += 1
-            spanning += max(step.merged_size for step in _build_schedule(h).steps) > CHUNK_LINES
+            spanning += max_merged(_build_schedule(h)) > CHUNK_LINES
             largest = max(largest, *h.group_sizes)
         assert checked > 200
         assert spanning > 10
@@ -345,13 +351,13 @@ class TestCompiledKernel:
 
     def test_gem_mining_compiles_after_reuse(self):
         h = gem_graph(10, 42)
-        assert max(step.merged_size for step in _build_schedule(h).steps) > CHUNK_LINES
+        assert max_merged(_build_schedule(h)) > CHUNK_LINES
         rng = random.Random(10)
         for _ in range(COMPILE_AFTER + 1):
             scores = [rng.random() for _ in range(h.num_local_arms)]
             res = ve_argmax(h, scores)
-        assert not isinstance(h._ve_kernel, functools.partial)
-        arms, value = _interpret(h._ve_schedule, h.num_agents, scores)
+        assert not isinstance(h._ve_schedule.kernel, functools.partial)
+        arms, value = _interpret(h._ve_schedule, scores)
         assert res.argmax == arms
         assert res.value.hex() == value.hex()
 
@@ -387,13 +393,33 @@ class TestCompiledKernel:
             assert len(forward) > 1
             assert len(backward) == (2 if m == 150 else 1)
             sched = _build_schedule(h)
-            kernel = _compile_kernel(sched, m)
+            kernel = _compile_kernel(sched)
             for _ in range(20):
                 scores = [rng.choice((0.0, 0.25, rng.random())) for _ in range(h.num_local_arms)]
                 arms, value = kernel(scores)
-                ref_arms, ref_value = _interpret(sched, m, scores)
+                ref_arms, ref_value = _interpret(sched, scores)
                 assert arms == ref_arms
                 assert value.hex() == ref_value.hex()
+
+    def test_backtrack_reads_earlier_arms_inline(self):
+        # chain m=150 splits the backtrack; the second chunk reads the arm
+        # the first assigned last as A[i] inside its G index, loading no local
+        h = Hypergraph(150, [2] * 150, chain_groups(150, 2))
+        sched = _build_schedule(h)
+        _, backward = _kernel_source(sched)
+        assert len(backward) == 2
+        split = int(re.search(r"return A \+ \(a0, .* a(\d+), \)", backward[0]).group(1)) + 1
+        assert f"a{split} = G[{149 - split}][A[{split - 1}]]" in backward[1]
+        for text in backward:
+            assert not re.search(r"a\d+ = A\[", text)
+        kernel = _compile_kernel(sched)
+        rng = random.Random(150)
+        for _ in range(20):
+            scores = [rng.choice((0.0, 0.25, rng.random())) for _ in range(h.num_local_arms)]
+            arms, value = kernel(scores)
+            ref_arms, ref_value = _interpret(sched, scores)
+            assert arms == ref_arms
+            assert value.hex() == ref_value.hex()
 
     def test_identical_across_the_switch(self):
         rng = random.Random(33)
@@ -402,13 +428,15 @@ class TestCompiledKernel:
                   many_single_arm_graph()):
             probe = [rng.choice((0.0, 1.0, rng.random())) for _ in range(h.num_local_arms)]
             first = ve_argmax(h, probe)
-            assert h._ve_kernel is None
+            sched = h._ve_schedule
+            assert sched.kernel is None
             for _ in range(COMPILE_AFTER - 1):
                 ve_argmax(h, [rng.random() for _ in range(h.num_local_arms)])
-            assert h._ve_kernel is None
+            assert sched.kernel is None and sched.calls == COMPILE_AFTER
             again = ve_argmax(h, probe)       # call COMPILE_AFTER + 1 compiles
-            assert h._ve_kernel is not None
-            assert not isinstance(h._ve_kernel, functools.partial)
+            assert h._ve_schedule is sched
+            assert sched.kernel is not None
+            assert not isinstance(sched.kernel, functools.partial)
             assert again.argmax == first.argmax
             assert again.value.hex() == first.value.hex()
             assert again.op_count == first.op_count
@@ -424,9 +452,9 @@ class TestCompiledKernel:
         for h in graphs:
             forward, backward = _kernel_source(_build_schedule(h))
             for text in forward + backward:
-                # the header, the budget with its stores, and the backtrack's
-                # loads of earlier agents' arms
-                assert len(text.splitlines()) <= 1 + CHUNK_LINES + h.num_agents
+                # the header, the budget with its stores, and the final
+                # return, which no chunk reserves
+                assert len(text.splitlines()) <= 2 + CHUNK_LINES
                 assert_integer_literals_only(text, ("f", "b"), name)
 
 
@@ -454,7 +482,7 @@ class TestSlotSpace:
                     base = col[0]
                     scope, weights = tables.pop(base)
                     cells = list(itertools.product(*(range(h.arm_counts[i]) for i in union)))
-                    assert len(col) == len(cells) == step.merged_size
+                    assert len(col) == len(cells) == step.out_size * step.k
                     for slot, arms in zip(col, cells):
                         arm_of = dict(zip(union, arms))
                         assert slot == base + sum(arm_of[i] * w for i, w in zip(scope, weights))
@@ -488,9 +516,9 @@ class TestSlotSpace:
                 before = list(scores)
                 ve_argmax(h, scores)
                 assert scores == before, f"call {call + 1}"
-            assert h._ve_kernel is not None
             sched = h._ve_schedule
-            for run in (functools.partial(_interpret, sched, h.num_agents), h._ve_kernel):
+            assert sched.kernel is not None
+            for run in (functools.partial(_interpret, sched), sched.kernel):
                 run(scores)
                 assert scores == before
 
@@ -499,16 +527,17 @@ class TestScheduleSize:
     def test_star_with_late_centre_compiles(self):
         h = star(10)
         sched = _build_schedule(h)
-        assert max(step.merged_size for step in sched.steps) == 1 << 10
+        assert max_merged(sched) == 1 << 10
         forward, _ = _kernel_source(sched)
         assert len(forward) > 8               # the 1,024-cell table spans chunks
-        h._ve_calls = COMPILE_AFTER          # the next call compiles
+        h._ve_schedule = sched
+        sched.calls = COMPILE_AFTER           # the next call compiles
         scores = [float(j % 5) for j in range(h.num_local_arms)]
         res = ve_argmax(h, scores)
-        assert h._ve_kernel is not None
-        assert not isinstance(h._ve_kernel, functools.partial)
+        assert sched.kernel is not None
+        assert not isinstance(sched.kernel, functools.partial)
         assert res.argmax == brute_argmax(h, scores).argmax
-        arms, value = _interpret(sched, h.num_agents, scores)
+        arms, value = _interpret(sched, scores)
         assert res.argmax == arms
         assert res.value.hex() == value.hex()
 

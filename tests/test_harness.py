@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from mamab import harness
 from mamab.environments import chain_env, gem_mining_env, lower_bound_env
 from mamab.harness import (
     ExperimentSpec,
@@ -228,6 +229,40 @@ class TestFirstOptimalPull:
         hits = [first_optimal_pull(env, cfg, 3, seed) for seed in range(3)]
         expected = float(np.median([4.0 if h is None else float(h) for h in hits]))
         assert median_first_optimal_pull(env, cfg, 3, 0, 3) == expected
+
+    @staticmethod
+    def stub_pulls(monkeypatch, outcomes):
+        # first_optimal_pull returns outcomes[seed]; the seeds asked for are recorded
+        seeds = []
+
+        def pull(env, cfg, horizon, seed):
+            seeds.append(seed)
+            return outcomes[seed]
+
+        monkeypatch.setattr(harness, "first_optimal_pull", pull)
+        return seeds
+
+    def test_median_stops_once_censored_trials_decide_it(self, monkeypatch):
+        # horizon + 1 is the largest value, so 26 censored trials fix the
+        # median of 50 or 51
+        env = lower_bound_env(1, 1, 3.5, 0.5)
+        cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
+        for trials in (50, 51):
+            seeds = self.stub_pulls(monkeypatch, [None] * trials)
+            assert median_first_optimal_pull(env, cfg, 10, 0, trials) == 11.0
+            assert seeds == list(range(26))
+
+    def test_median_runs_every_trial_without_a_censored_majority(self, monkeypatch):
+        # 25, 25 and 20 of 50 censored: no majority, so every trial runs (with
+        # 25 censored the median averages the largest hit and 11)
+        env = lower_bound_env(1, 1, 3.5, 0.5)
+        cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
+        for outcomes in ([None] * 25 + list(range(1, 26)), [3, None] * 25,
+                         [None] * 20 + [7] * 30):
+            seeds = self.stub_pulls(monkeypatch, outcomes)
+            expected = float(np.median([11.0 if h is None else float(h) for h in outcomes]))
+            assert median_first_optimal_pull(env, cfg, 10, 0, 50) == expected
+            assert seeds == list(range(50))
 
     def test_median_orders_with_group_count(self, lb_medians):
         # more groups delay the first optimal pull; censored trials count

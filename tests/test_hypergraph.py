@@ -71,6 +71,10 @@ class TestConstruction:
         assert isinstance(h.groups, tuple)
         assert isinstance(h.arm_counts, tuple)
 
+    def test_repr(self):
+        h = Hypergraph(2, (3, 2), ((1, 0), [1]))
+        assert repr(h) == "Hypergraph(num_agents=2, arm_counts=[3, 2], groups=[[1, 0], [1]])"
+
 
 class TestConstructionErrors:
     def test_empty_group(self):
@@ -321,7 +325,8 @@ class TestFlatKernel:
         env = chain_env(10, 2, "bernoulli")
         run_trial(env, PolicyConfig("random"), COMPILE_AFTER + 8, 0, 10)
         assert env.graph._flat_kernel is not None
-        assert env.graph._ve_schedule is None and env.graph._ve_kernel is None
+        # no VE schedule, so no VE kernel either: the schedule would hold it
+        assert env.graph._ve_schedule is None
 
     def test_source_interpolates_only_layout_integers(self, loaded_chunks):
         rng = random.Random(6)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -50,6 +51,13 @@ class TestPolicyConfig:
         for scale in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 PolicyConfig("ucb_baseline", ucb_range=scale)
+
+    def test_frozen_after_checks(self):
+        # the checks run once, at construction, so no field may change after
+        cfg = PolicyConfig("eps_mats", epsilon=0.1, c=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epsilon = 5
+        assert cfg.epsilon == 0.1
 
 
 class TestSampleScores:

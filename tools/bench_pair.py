@@ -13,11 +13,12 @@ The result goes to BENCH_<tag>.json in the working tree: per workload
 and side, the median, quartiles and every run of each end-to-end
 metric, the pairs the working tree won, a verdict per end-to-end metric
 (the relative change of the median, signed so that positive is worse,
-its bound and whether the change is worse than the bound), the
-checkpoint digests, whether both sides' digests are the same set
-(`digests_equal`: the outputs are bit-identical) and the failed counts,
-with nproc and the load average around the runs. It also records the
-line count of every `.py` file under `src/` in both trees
+its bound, whether the change is worse than the bound, whether the
+parent's spread leaves it unresolved and whether a gain is supported;
+see `verdict`), the checkpoint digests, whether both sides' digests are
+the same set (`digests_equal`: the outputs are bit-identical) and the
+failed counts, with nproc and the load average around the runs. It also
+records the line count of every `.py` file under `src/` in both trees
 (`src_lines`), the ledger a change reports its net size from.
 
 With --ve-costs the file also records, for every benchmark graph whose
@@ -90,13 +91,24 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def verdict(metric: dict, parent: float, change: float) -> dict:
-    """The change of an end-to-end metric's median relative to the
-    parent's (every end-to-end metric is positive), signed so that
-    positive is worse, against its bound."""
-    worse = (change - parent if metric["better"] == "lower" else parent - change) / parent
-    return {"worse_by": worse, "bound": metric["bound"],
-            "worse_than_bound": worse > metric["bound"]}
+def verdict(metric: dict, parent: dict, change: dict, wins: int) -> dict:
+    """An end-to-end metric's verdict from both sides' summaries and the
+    pairs the change won (ties count for neither). `worse_by` is the
+    change of the median relative to the parent's (every end-to-end
+    metric is positive), signed so that positive is worse, against the
+    metric's bound. `unresolved`: the parent's interquartile range, as a
+    share of its median, is wider than the bound, and not every change
+    run beats every parent run. `gain_supported`: the change won at least
+    nine tenths of the pairs, and its median is better by more than the
+    parent's interquartile range."""
+    sign = 1 if metric["better"] == "lower" else -1
+    worse_abs = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    beats_all = max(sign * c for c in change["runs"]) < min(sign * p for p in parent["runs"])
+    return {"worse_by": worse_abs / parent["median"], "bound": metric["bound"],
+            "worse_than_bound": worse_abs / parent["median"] > metric["bound"],
+            "unresolved": spread / parent["median"] > metric["bound"] and not beats_all,
+            "gain_supported": 10 * wins >= 9 * len(parent["runs"]) and -worse_abs > spread}
 
 
 def compare_pairs(workload: str, trees: dict, pairs: int, seed: int, seconds: float) -> dict:
@@ -124,8 +136,8 @@ def compare_pairs(workload: str, trees: dict, pairs: int, seed: int, seconds: fl
                          for p, c in zip(runs["parent"], runs["change"]))
     out["digests_equal"] = out["parent"]["digests"] == out["change"]["digests"]
     out["change_wins_of_pairs"] = wins
-    out["verdict"] = {name: verdict(metric, out["parent"]["metrics"][name]["median"],
-                                    out["change"]["metrics"][name]["median"])
+    out["verdict"] = {name: verdict(metric, out["parent"]["metrics"][name],
+                                    out["change"]["metrics"][name], wins[name])
                       for name, metric in END_TO_END.items()}
     return out
 
@@ -175,18 +187,16 @@ def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
         if not uses_ve:
             continue
         sched = elimination._build_schedule(h)
-        kernel = elimination._compile_kernel(sched, h.num_agents)
-        compile_s = best_per_call(lambda _: elimination._compile_kernel(sched, h.num_agents),
-                                  [None], reps)
+        kernel = elimination._compile_kernel(sched)
+        compile_s = best_per_call(lambda _: elimination._compile_kernel(sched), [None], reps)
         rng = random.Random(0)
         vectors = [[rng.random() for _ in range(h.num_local_arms)] for _ in range(calls)]
-        interp = best_per_call(lambda s: elimination._interpret(sched, h.num_agents, s),
-                               vectors, reps)
+        interp = best_per_call(lambda s: elimination._interpret(sched, s), vectors, reps)
         fast = best_per_call(kernel, vectors, reps)
         costs["graphs"][key] = {
             "compile_ms": compile_s * 1e3, "interpreted_us": interp * 1e6,
             "kernel_us": fast * 1e6, "op_count": sched.op_count,
-            "max_merged": max(step.merged_size for step in sched.steps),
+            "max_merged": max(step.out_size * step.k for step in sched.steps),
             "break_even_calls": break_even(compile_s, interp, fast)}
     return costs
 
