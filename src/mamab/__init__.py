@@ -3,9 +3,11 @@
 The package provides the combinatorial structure (hypergraph), an exact
 joint-arm maximizer with a brute-force oracle (elimination), the
 decision policies (policies), benchmark reward worlds (environments), a
-seeded trial harness (harness), and a CLI front end (cli).
+trial's random numbers by address (draws), a seeded trial harness
+(harness), and a CLI front end (cli).
 """
 
+from .draws import TrialDraws
 from .elimination import EliminationResult, brute_argmax, ve_argmax
 from .environments import (
     Environment,
@@ -49,6 +51,7 @@ __all__ = [
     "LocalArmStats",
     "PolicyConfig",
     "RegretTrace",
+    "TrialDraws",
     "brute_argmax",
     "chain_env",
     "enumerate_joint",

@@ -272,9 +272,15 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]]:
     for j, step in enumerate(sched.steps):
         k = step.k
         first = 0          # first row of step j in the open chunk
+        # the step goes whole into the open chunk if its rows, G[j] and a
+        # store per cell live after it fit; a row's check below reserves a
+        # store for each input cell the rest of the step still reads
+        end = row + step.out_size
+        whole = len(lines) + step.out_size * (k + 1) + (k > 1) + sum(
+            last_read[x] >= end for x in live) <= CHUNK_LINES
         for r in range(step.out_size):
             # the row, its piece of G[j] and a store per live cell, its own included
-            if not forward.fits(k + (k > 1) + len(live) + 1):
+            if not whole and not forward.fits(k + (k > 1) + len(live) + 1):
                 forward.close(*maximizers(j, first, r), *(f"T[{x}] = x{x}" for x in sorted(live)))
                 live.clear()
                 first = r

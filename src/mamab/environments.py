@@ -3,11 +3,16 @@
 Every environment is an immutable bundle of a coordination hypergraph,
 one true mean per flat local arm, a reward family per group, and the
 cached optimum of the summed means. Reward sampling takes the caller's
-random stream, so concurrent trials each pass their own.
+``TrialDraws``, so concurrent trials each pass their own. Each round
+takes one slice of reward uniforms, one per group in ascending group
+order, when some group is Bernoulli or Poisson, and one slice of reward
+normals alike when some group is gaussian; group e's reward is drawn
+from entry e of its family's slice.
 
-Families: ``bernoulli`` (mean in [0, 1]), ``poisson`` (mean in
-[0, POISSON_MAX_MEAN], and note Poisson tails are heavier than Gaussian;
-it is included for benchmark fidelity), ``gaussian`` (unit variance).
+Families: ``bernoulli`` (mean in [0, 1]; reward 1 when u < mean),
+``poisson`` (mean in [0, POISSON_MAX_MEAN], by inversion of u; note
+Poisson tails are heavier than Gaussian; it is included for benchmark
+fidelity), ``gaussian`` (unit variance; mean + z).
 
 Range errors from the builders name the parameter by its config key.
 """
@@ -17,9 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Optional, Sequence
 
+from .draws import TrialDraws
 from .elimination import (DEFAULT_BRUTE_CAP, EliminationResult, _checked_scores,
                           assignment_value, brute_argmax, ve_argmax)
 from .hypergraph import (Hypergraph, JointAssignment, _mixed_radix_decode,
@@ -50,9 +57,9 @@ TRIPLE_TABLE = {
 
 GEM_WORKER_GROWTH = 1.03
 
-# Knuth's product-of-uniforms Poisson sampler is exact only while
-# exp(-mean) is a normal double (mean < 708); larger means would draw
-# from a silently truncated distribution, so they are rejected.
+# Poisson inversion starts from the mass exp(-mean) at 0 and is exact
+# only while that is a normal double (mean < 708); larger means would
+# draw from a silently truncated distribution, so they are rejected.
 POISSON_MAX_MEAN = 700.0
 
 
@@ -105,9 +112,15 @@ class RestrictedCandidates:
             return EliminationResult(self.optimal, opt_total, ops)
         return EliminationResult(tuple(sub_arms), sub_total, ops)
 
-    def sample(self, rng: Random) -> JointAssignment:
-        """Uniform draw over the candidate list, by candidate index."""
-        idx = rng.randrange(self.size)
+    def sample(self, rng: TrialDraws) -> JointAssignment:
+        """Uniform draw over the candidate list: index floor(u * size)
+        for the next choice uniform u, which is uniform while size is
+        at most 2**53; a larger set is refused."""
+        size = self.size
+        if size > 2 ** 53:
+            raise ValueError(f"cannot sample uniformly from {size} candidates "
+                             f"with one uniform (at most 2**53)")
+        idx = int(rng.choices.take(1)[0] * size)
         if idx == 0:
             return self.optimal
         combo = _mixed_radix_decode(idx - 1, [self.num_decoys] * len(self.offsets))
@@ -123,6 +136,11 @@ class Environment:
     optimal_value: float
     name: str
     candidates: Optional[RestrictedCandidates] = None
+
+    @cached_property
+    def family(self) -> Optional[str]:
+        """The reward family every group shares, or None when they differ."""
+        return self.families[0] if len(set(self.families)) == 1 else None
 
 
 def make_environment(graph: Hypergraph, means: Sequence[float],
@@ -286,34 +304,43 @@ def lower_bound_env(rho: int, L: int, X: float, delta: float) -> Environment:
 # reward sampling and regret
 # ---------------------------------------------------------------------
 
-def _poisson_draw(rng: Random, lam: float) -> float:
-    # Knuth's product-of-uniforms method; exact up to POISSON_MAX_MEAN
-    limit = math.exp(-lam)
-    k = 0
-    p = rng.random()
-    while p > limit:
-        k += 1
-        p *= rng.random()
-    return float(k)
-
-
 def sample_rewards_at(env: Environment, flat: Sequence[int],
-                      rng: Random) -> list[float]:
+                      rng: TrialDraws) -> list[float]:
+    means = env.means
+    family = env.family
+    if family == "bernoulli":
+        return [1.0 if x < means[j] else 0.0 for x, j in zip(rng.rewards.take(len(flat)), flat)]
+    if family == "gaussian":
+        return [means[j] + x for x, j in zip(rng.reward_normals.take(len(flat)), flat)]
+    families = env.families
+    u = rng.rewards.take(len(flat))
+    z = None
     out = []
     for e, j in enumerate(flat):
-        mean = env.means[j]
-        fam = env.families[e]
+        fam = families[e]
         if fam == "bernoulli":
-            out.append(1.0 if rng.random() < mean else 0.0)
+            out.append(1.0 if u[e] < means[j] else 0.0)
         elif fam == "poisson":
-            out.append(_poisson_draw(rng, mean))
+            # inversion: the smallest k whose cdf reaches u; should
+            # rounding leave the cdf below u, p underflows to 0 far
+            # past the mean and ends the loop
+            lam = means[j]
+            p = cdf = math.exp(-lam)
+            k = 0
+            while u[e] > cdf and p:
+                k += 1
+                p *= lam / k
+                cdf += p
+            out.append(float(k))
         else:
-            out.append(rng.gauss(mean, 1.0))
+            if z is None:
+                z = rng.reward_normals.take(len(flat))
+            out.append(means[j] + z[e])
     return out
 
 
 def sample_rewards(env: Environment, arms: Sequence[int],
-                   rng: Random) -> list[float]:
+                   rng: TrialDraws) -> list[float]:
     """One independent reward draw per group, ascending group order."""
     validate_assignment(env.graph, arms)
     return sample_rewards_at(env, env.graph.flat_indices(arms), rng)

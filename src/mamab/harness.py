@@ -1,11 +1,12 @@
 """Seeded trial execution and cross-trial aggregation.
 
-A trial owns its policy state and a single random.Random stream seeded
-with the trial seed; the environment is shared read-only. Trials inside
+A trial owns its policy state and a ``TrialDraws`` keyed by the trial
+seed, which gives every random number of the trial by address (see
+``mamab.draws``); the environment is shared read-only. Trials inside
 an experiment use seeds base_seed + i and are fully independent, so
-execution order cannot change any output. The library runs them
-sequentially; parallel orchestration is the caller's business and must
-not alter results.
+neither execution order nor the trial count can change a trial's
+output. The library runs them sequentially; parallel orchestration is
+the caller's business and must not alter results.
 
 Cumulative regret is recorded as the gap of means (pseudo-regret), not
 realized-reward regret: it is variance-free, which keeps desk-scale
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from random import Random
 from typing import Optional
 
 import numpy as np
 
+from .draws import TrialDraws
 from .environments import Environment, regret_at, sample_rewards_at
 from .policies import LocalArmStats, PolicyConfig, WorkTally, select_arm, update_stats_at
 
@@ -71,7 +72,7 @@ def _rounds(env: Environment, cfg: PolicyConfig, horizon: int, seed: int,
     that round's reward draw. The layer functions are looked up as module
     globals on every round, so a profiler can wrap them."""
     graph = env.graph
-    rng = Random(seed)
+    rng = TrialDraws(seed)
     stats = LocalArmStats.fresh(graph.num_local_arms)
     candidates = env.candidates
     for t in range(1, horizon + 1):

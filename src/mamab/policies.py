@@ -12,20 +12,23 @@ Three policy kinds share one interface:
   reimplementation of any published multi-agent UCB method.
 * ``random``: uniform independent arm per agent.
 
-All randomness flows through one ``random.Random`` stream owned by the
-caller. Draw order is part of the contract: scores are produced in
-ascending flat-local-arm order, and each arm consumes its Bernoulli
-gate draw first and, only when the gate passes, one Gaussian draw. This
-makes every run reproducible from (config, seed) alone.
+All randomness comes from the caller's ``TrialDraws`` (see
+``mamab.draws``), where every number is an address. An eps_mats round
+takes the next A_loc slots of the trial's slot axis; the gate passes
+among them are drawn as geometric gaps, and pass k of the trial takes
+score normal k. So a round costs one normal per pass plus a copy of the
+means, and the cost falls with epsilon. The random policy takes one
+choice uniform u per agent and plays floor(u * K_i). This makes every
+run reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from random import Random
 from typing import Optional, Sequence
 
+from .draws import TrialDraws
 from .elimination import ve_argmax
 from .hypergraph import Hypergraph, JointAssignment, validate_assignment
 
@@ -87,28 +90,25 @@ class WorkTally:
     argmax_ops: int = 0
 
 
-def sample_scores(stats: LocalArmStats, cfg: PolicyConfig, rng: Random,
+def sample_scores(stats: LocalArmStats, cfg: PolicyConfig, rng: TrialDraws,
                   tally: Optional[WorkTally] = None) -> list[float]:
-    """Score vector for eps_mats.
-
-    For each flat local arm j, ascending: draw the Bernoulli(epsilon)
-    gate; when it passes, draw Normal(mu_hat[j], c / (n[j] + 1)),
-    otherwise keep mu_hat[j].
-    """
-    eps = cfg.epsilon
+    """Score vector for eps_mats: a copy of mu_hat in which each slot
+    whose gate passes holds mu_hat[j] + sqrt(c / (n[j] + 1)) * z, with z
+    the pass's normal. At epsilon = 1 every slot passes."""
+    mu = stats.mu_hat
+    n = stats.n
     c = cfg.c
-    uniform = rng.random
-    gauss = rng.gauss
     sqrt = math.sqrt
-    scores = []
-    append = scores.append
-    draws = 0
-    for m, nj in zip(stats.mu_hat, stats.n):
-        if uniform() < eps:
-            append(gauss(m, sqrt(c / (nj + 1))))
-            draws += 1
-        else:
-            append(m)
+    if cfg.epsilon == 1.0:
+        scores = [m + sqrt(c / (nj + 1)) * x
+                  for m, nj, x in zip(mu, n, rng.scores.take(len(mu)))]
+        draws = len(mu)
+    else:
+        scores = mu[:]
+        passes = rng.passes(cfg.epsilon, len(mu))
+        for j, x in zip(passes, rng.scores.take(len(passes))):
+            scores[j] = mu[j] + sqrt(c / (n[j] + 1)) * x
+        draws = len(passes)
     if tally is not None:
         tally.gaussian_draws += draws
     return scores
@@ -127,20 +127,21 @@ def ucb_scores(stats: LocalArmStats, t: int, cfg: PolicyConfig) -> list[float]:
 
 
 def select_arm(h: Hypergraph, stats: LocalArmStats, cfg: PolicyConfig, t: int,
-               rng: Random, tally: Optional[WorkTally] = None,
+               rng: TrialDraws, tally: Optional[WorkTally] = None,
                candidates=None) -> JointAssignment:
     """Choose the round's joint assignment.
 
     eps_mats and ucb_baseline arg-maximize their score vector by variable
-    elimination; random draws each agent's arm uniformly (ascending agent
-    order). When `candidates` is given (a restricted action set exposed
-    by the environment), the argmax or the uniform draw ranges over that
-    explicit set instead of the full product space.
+    elimination; random plays floor(u * K_i) for agent i, with u the
+    round's choice uniforms in ascending agent order. When `candidates`
+    is given (a restricted action set exposed by the environment), the
+    argmax or the uniform draw ranges over that explicit set instead of
+    the full product space.
     """
     if cfg.kind == "random":
         if candidates is not None:
             return candidates.sample(rng)
-        return tuple(rng.randrange(k) for k in h.arm_counts)
+        return tuple(int(u * k) for u, k in zip(rng.choices.take(h.num_agents), h.arm_counts))
     if cfg.kind == "eps_mats":
         scores = sample_scores(stats, cfg, rng, tally)
     else:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from mamab.cli import main
+from mamab.draws import TrialDraws
 from mamab.elimination import brute_argmax, joint_totals, ve_argmax
 from mamab.environments import (
     chain_env,
@@ -221,7 +222,7 @@ def test_criterion_10_statistics_invariants():
     for label, env in envs:
         graph = env.graph
         cfg = PolicyConfig("eps_mats", epsilon=0.3, c=2.0)
-        rng = random.Random(97)
+        rng = TrialDraws(97)
         stats = LocalArmStats.fresh(graph.num_local_arms)
         history = [[] for _ in range(graph.num_local_arms)]
         for t in range(1, horizon + 1):

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from mamab import draws
+from mamab.draws import TrialDraws
 from mamab.elimination import EliminationResult, brute_argmax
 from mamab.environments import (
     BERNOULLI_PAIR_TABLE,
@@ -239,7 +241,7 @@ class TestLowerBoundEnvironment:
 
     def test_candidate_sampling_uniform(self):
         env = lower_bound_env(2, 2, 3.5, 0.5)
-        rng = random.Random(3)
+        rng = TrialDraws(3)
         counts = {}
         rounds = 50_000
         for _ in range(rounds):
@@ -248,6 +250,12 @@ class TestLowerBoundEnvironment:
         assert set(counts) == set(env.candidates)
         for c in counts.values():
             assert abs(c / rounds - 0.2) < 0.01
+
+    def test_candidate_sampling_refuses_sets_beyond_2_to_53(self):
+        # floor(u * size) reaches at most 2**53 indices of a larger set
+        env = lower_bound_env(10, 50, 3.5, 0.5)
+        with pytest.raises(ValueError, match="cannot sample uniformly"):
+            env.candidates.sample(TrialDraws(0))
 
     def test_decoy_sizing_grows_with_groups(self):
         sizes = [decoys_per_group(rho) for rho in (1, 2, 4)]
@@ -266,20 +274,20 @@ class TestRewardSampling:
     def test_degenerate_bernoulli(self):
         g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [1.0], ["bernoulli"], "unit")
-        rng = random.Random(0)
+        rng = TrialDraws(0)
         assert all(sample_rewards(env, (0,), rng) == [1.0] for _ in range(200))
 
     def test_bernoulli_mean(self):
         g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [0.75], ["bernoulli"], "unit")
-        rng = random.Random(5)
+        rng = TrialDraws(5)
         draws = [sample_rewards(env, (0,), rng)[0] for _ in range(100_000)]
         assert abs(np.mean(draws) - 0.75) < 0.01
 
     def test_poisson_moments(self):
         g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [0.3], ["poisson"], "unit")
-        rng = random.Random(6)
+        rng = TrialDraws(6)
         draws = [sample_rewards(env, (0,), rng)[0] for _ in range(100_000)]
         assert abs(np.mean(draws) - 0.3) < 0.01
         assert abs(np.var(draws) - 0.3) < 0.02
@@ -288,7 +296,7 @@ class TestRewardSampling:
         # the largest accepted mean still samples exactly
         g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [POISSON_MAX_MEAN], ["poisson"], "unit")
-        rng = random.Random(8)
+        rng = TrialDraws(8)
         n = 2000
         draws = [sample_rewards(env, (0,), rng)[0] for _ in range(n)]
         lam = POISSON_MAX_MEAN
@@ -298,26 +306,49 @@ class TestRewardSampling:
     def test_gaussian_moments(self):
         g = Hypergraph(1, [1], [[0]])
         env = make_environment(g, [2.0], ["gaussian"], "unit")
-        rng = random.Random(7)
+        rng = TrialDraws(7)
         draws = [sample_rewards(env, (0,), rng)[0] for _ in range(100_000)]
         assert abs(np.mean(draws) - 2.0) < 0.02
         assert abs(np.var(draws) - 1.0) < 0.02
 
     def test_draw_order_by_group(self):
-        env = chain_env(3, 2, "bernoulli")
-        rng = random.Random(9)
-        rewards = sample_rewards(env, (0, 1, 0), rng)
-        rep = random.Random(9)
-        flat = env.graph.flat_indices((0, 1, 0))
-        expected = [1.0 if rep.random() < env.means[j] else 0.0 for j in flat]
+        # group e's reward is read from entry e of the round's slice of
+        # reward uniforms (normals for a gaussian group), one slice a round
+        env = make_environment(Hypergraph(3, [2, 2, 2], [[0], [1], [2]]),
+                               [0.5, 0.25, 3.0, 1.5, 0.5, 2.0],
+                               ["bernoulli", "poisson", "gaussian"], "mixed")
+        rng = TrialDraws(9)
+        rewards = [sample_rewards(env, (0, 1, 1), rng) for _ in range(40)]
+        u = draws.uniforms(draws.stream_key(9, draws.REWARDS), 0, 120).tolist()
+        z = draws.normals(draws.stream_key(9, draws.REWARD_NORMALS), 0, 120)
+        expected = []
+        for t in range(40):
+            k, cdf, p = 0, math.exp(-1.5), math.exp(-1.5)
+            while u[3 * t + 1] > cdf:
+                k += 1
+                p *= 1.5 / k
+                cdf += p
+            expected.append([1.0 if u[3 * t] < 0.5 else 0.0, float(k), 2.0 + z[3 * t + 2]])
         assert rewards == expected
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0, 700.0])
+    def test_poisson_moments_by_inversion(self, lam):
+        # mean and variance within 5 standard errors; a Poisson's fourth
+        # central moment is lam + 3 lam^2, so the sample variance's standard
+        # error is sqrt((lam + 2 lam^2) / n)
+        env = make_environment(Hypergraph(1, [1], [[0]]), [lam], ["poisson"], "unit")
+        rng = TrialDraws(int(lam * 10))
+        n = 10_000
+        values = np.array([sample_rewards(env, (0,), rng)[0] for _ in range(n)])
+        assert abs(values.mean() - lam) < 5 * math.sqrt(lam / n)
+        assert abs(values.var(ddof=1) - lam) < 5 * math.sqrt((lam + 2 * lam ** 2) / n)
 
     def test_rejects_invalid_assignment(self):
         env = chain_env(3, 2, "bernoulli")
         with pytest.raises(ValueError):
-            sample_rewards(env, (0, 1), random.Random(1))
+            sample_rewards(env, (0, 1), TrialDraws(1))
         with pytest.raises(ValueError):
-            sample_rewards(env, (0, 1, 2), random.Random(1))
+            sample_rewards(env, (0, 1, 2), TrialDraws(1))
 
 
 class TestPseudoRegret:

@@ -1,7 +1,7 @@
 """Golden outputs: the sha256 of both CSVs of one small CLI run per
 environment kind and policy. A change that alters any number, its
-formatting or the random draw order changes a digest; update the table
-only when the output contract changes on purpose."""
+formatting or the address of a random draw changes a digest; update the
+table only when the output contract changes on purpose."""
 
 import hashlib
 from pathlib import Path
@@ -28,50 +28,50 @@ POLICIES = {
 # (env, policy) -> (trials.csv sha256, summary.csv sha256)
 GOLDEN = {
     ("bernoulli_chain", "eps_mats"): (
-        "cee2001ddc951f0c5eceae1deac513f8fe8f505bb8f0befa484dad67f248d911",
-        "3e6be7719752b3d1e574087ff06060d8b50193d4032fa683e63ecca20e0fbcdf"),
+        "3448b830b5f085373b3131dd9cafe7f126a211bdcbb245b9ed8aef73dff0d0e2",
+        "7165f043d88fd7e509b16d4a47ac966012396900841a36016a127911582a9943"),
     ("bernoulli_chain", "random"): (
-        "3492a5bcd0e8e1be2e132d89c9a2739aec358dbb89daf62584ab80d0c927b286",
-        "472ef015e64c908091ef08162efe05406f694f48315469ecb7c71092f5eca18b"),
+        "b76d53ddeb235cf276fb7c9a5c570d47e6f5771896ac014d8fed778cfdc0827d",
+        "5cf3f4aed36c8f009c4e3946f41564560dec8c22a00e6749f0bea385b14f9167"),
     ("bernoulli_chain", "ucb_baseline"): (
-        "63eb6d632b3e08b4b7222c9b13679ff6c60d60738bd9c8ec0287c2f6fb2924d1",
-        "72e45197f7dab578f31e315a8831f51a4014f1da298ea24449601c8e98fc6ee2"),
+        "71088efd8face32e5692919b5224ee9abc02983e5c52aaae39599c27e32ecab9",
+        "b5a56ff4053a39a835268763cf0b8ca1e5f10c48f3cb81f46359d438267abfaa"),
     ("gem_mining", "eps_mats"): (
-        "82029b7ca451af3693c1dab1d429a317d15c365e3dde5c0dd1f92a5711859ac6",
-        "c76a5e9cd1006246c0d8d1f21986f8d2f5ae3c545453f5aa139a536873f30031"),
+        "03ed869638f30cbaf9055efd7236feffdd945fc86e937614719f1aa53b5a59ff",
+        "229e763dd64aa4e52a1d91a246ffb08104264b6b8811f218372836e0690ced5b"),
     ("gem_mining", "random"): (
-        "edfa9a9323993f6f56c3fae7a5e05dde1b17230cbf4f5c2dac17d4e78a67f63b",
-        "23cad02ea016b99755afd184f1bbe41f67c34101719992e178c3d17ff5ea95ec"),
+        "c48ce94dbf5ebaa52425cbee246015eaf08aed9e38bff7e316b9cfb1d3b04a02",
+        "7e6c27752c11b6bfa25a1e60646e811af49bd8bd7709ab66ddfcb9d0418f3b5b"),
     ("gem_mining", "ucb_baseline"): (
-        "a974a9fbfdc20a90f1b1d8af287e287a430e02ed4f57db8fcaf8d32b9c4a89f3",
-        "7ed1220f9ebd8c3bce0ff5022abf1ec54ebcc4df43108526826392f758b4bbc1"),
+        "161bd1f166bf3fc6d55f5fa09d0213b8c656b31f9e5a44f73bc3b68e0d69aca4",
+        "e556cce22f496514b1e955e9ff67bfdcee199112a6bdff27b30df2bae69d692e"),
     ("lower_bound", "eps_mats"): (
-        "bdeda5b5a8c496ae7da0e7213c14e8ac57120e8387f6e025529a721746bb9280",
-        "2208e116e69e617c0db6742cd887c7971fd81e5c89acf14f54c327c1cc0b1577"),
+        "01d2976dd83673fa691fe2b2229f98205c283b3fa3f0f059b44a7db8e22c61e6",
+        "5032a0f7faafd31e62251346b2e1f27155081155515ec1f9f1cd9d512dcc1b6d"),
     ("lower_bound", "random"): (
-        "56108001a7bf4bb4438d649b3fef20eb002f257f7fa7e72bf0b992a726ade968",
-        "43ac5713a2c8b91b56dc5e84efb5f2689b18bdc20cac392d0f583bb991d78c91"),
+        "bbdb5493915a408dff8bb079bd364e34296b9e8179d05be05135fe8607085e7c",
+        "ee7ad5afc5aa3cbe97b27c1b4f45b5793cb6f796389b4d39adbfd3fbc6da5845"),
     ("lower_bound", "ucb_baseline"): (
         "62dba9ab0c03d693c7e49ad10325b738a0445ac1e9a3a10206fae3a86aa9b1cb",
         "d683b4f3efd29942e5737a786feae2e453c680ca62b6c8d462220472b2eea1f3"),
     ("poisson_chain", "eps_mats"): (
-        "cae64ad2405701f0cb383ab96eb4ff69cdf5778aeef3330fdf9a1bed97921d37",
-        "68279b7ef3dd751d195d9a1aa3c942184181fdb62e74bdfa8e4def82a3c12e9d"),
+        "2fcc8f01714f9d035d24e10796d40adbdd6b070a63892745bcf13d318cdce2b8",
+        "1a29085c3bfb95974f206435b19f9ff7ee0efe9d319908315e27bbaba095ae5d"),
     ("poisson_chain", "random"): (
-        "30efa37d42380f5935e08f301ff75334ede03ccdc028bf298c05c148674e7478",
-        "fa217dee7c6d7e9daaf5253bf2603e83b3d78843c8e791bfe9787999b2423745"),
+        "98f2241acad4c1ed7afe24267a0fb759e5c7c52bd71ca30c123662f20f2b7efe",
+        "b28876f9ade0be50a16ba204a44763d5897b5c5555318c156ee2f57517dbe588"),
     ("poisson_chain", "ucb_baseline"): (
-        "411393baf518b241d651742a33c5036b2d5de7b8f655b4c24514a9b89fe2ae0e",
-        "706406c005b68d5cb2b2b6778daa9c31d3e1a68c774aa4396d06b07c673aed31"),
+        "f307f5da693c4a633602efc4fc0b39f8d35e767017254d4261f471f90242a040",
+        "cba78a1c5d5d36804b11d5dd8d08f6e177ec2543f0161afd1c5b269260c44900"),
     ("table", "eps_mats"): (
-        "5d1fc04b99d592f942a7d577df63fd6dc3acf69763474a966f9a1ed4dfb3d1cf",
-        "b8588213b2a29d746e48f7d9b4fe9ab8bb3e22abaa949d1fee8ce58f6a41e677"),
+        "a0c40dcb681ba28fd976c944acce7c9f88a3d65f4c3051c24239d7e2aed06a0c",
+        "98bdd852bfbbbd52d2a59a797a5118a1ada8b5f3871b4557496566d0acd14ac1"),
     ("table", "random"): (
-        "28b8e56eb85313e7caf0f4ad596b5fa8e4df33e8a81b47c3427c97eb332d2e17",
-        "5af9ed2ef8f85bb87d9ba886eb5121b2068b6d03494c38f8907e37483cbe167d"),
+        "ee5063e871df298f1ead87ddffeafa90917a271e83fa30b5e2992fecbaec8ce7",
+        "da8174588a41683fe2998a65f833f1a91ada981cbb6be58ab18367e8cff19167"),
     ("table", "ucb_baseline"): (
-        "22f6e7b3d20f64a94ee3b8b5018783673e939ff38b2205b2ea81bda69e330506",
-        "f0492301d9b25d2b71ebc202faa2f66085b715d4186191767f390d9992c9fce2"),
+        "421909762b309f0dcc2c2f6cc2adb47a4da2e7baa17e454217898cbaf55062b8",
+        "3abfffab4f36c550824ed2af46627f45cd3e6c17edf9fd01568041c06fd60375"),
 }
 
 

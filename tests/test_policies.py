@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from mamab import draws
+from mamab.draws import TrialDraws
 from mamab.elimination import brute_argmax
 from mamab.hypergraph import Hypergraph
 from mamab.policies import (
@@ -64,13 +66,13 @@ class TestSampleScores:
     def test_epsilon_zero_is_greedy(self):
         stats = LocalArmStats(n=[3, 0, 7], mu_hat=[0.5, 0.0, -1.25])
         cfg = PolicyConfig("eps_mats", epsilon=0.0, c=1.0)
-        scores = sample_scores(stats, cfg, random.Random(1))
+        scores = sample_scores(stats, cfg, TrialDraws(1))
         assert scores == [0.5, 0.0, -1.25]
 
     def test_unpulled_arm_samples_standard_normal(self):
         # n=0, mu=0, c=1 and epsilon=1 puts every draw on Normal(0, 1)
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
-        rng = random.Random(42)
+        rng = TrialDraws(42)
         stats = LocalArmStats.fresh(1)
         draws = [sample_scores(stats, cfg, rng)[0] for _ in range(100_000)]
         assert abs(np.mean(draws)) < 0.02
@@ -78,7 +80,7 @@ class TestSampleScores:
 
     def test_posterior_tightens_with_pulls(self):
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=2.0)
-        rng = random.Random(9)
+        rng = TrialDraws(9)
         stats = LocalArmStats(n=[49], mu_hat=[3.0])
         draws = [sample_scores(stats, cfg, rng)[0] for _ in range(50_000)]
         assert abs(np.mean(draws) - 3.0) < 0.01
@@ -86,7 +88,7 @@ class TestSampleScores:
 
     def test_gate_draw_total_matches_epsilon(self):
         cfg = PolicyConfig("eps_mats", epsilon=0.1, c=1.0)
-        rng = random.Random(7)
+        rng = TrialDraws(7)
         stats = LocalArmStats.fresh(36)
         tally = WorkTally()
         rounds = 10_000
@@ -97,7 +99,7 @@ class TestSampleScores:
 
     def test_epsilon_one_always_samples(self):
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
-        rng = random.Random(3)
+        rng = TrialDraws(3)
         stats = LocalArmStats.fresh(20)
         tally = WorkTally()
         for _ in range(200):
@@ -109,7 +111,7 @@ class TestSampleScores:
         eps = 0.3
         rounds = 5000
         cfg = PolicyConfig("eps_mats", epsilon=eps, c=1.0)
-        rng = random.Random(11)
+        rng = TrialDraws(11)
         stats = LocalArmStats(n=[5] * 8, mu_hat=[0.0] * 8)
         hits = [0] * 8
         for _ in range(rounds):
@@ -122,19 +124,26 @@ class TestSampleScores:
             assert abs(h - rounds * eps) <= 4 * sigma
 
     def test_draw_order_documented(self):
-        # replaying the stream by hand must reproduce the scores exactly
-        cfg = PolicyConfig("eps_mats", epsilon=0.4, c=2.0)
+        # replaying the trial's addresses by hand must reproduce the scores
+        # exactly: gate passes at geometric gaps on the slot axis, pass k
+        # scored with normal k
+        eps = 0.4
+        cfg = PolicyConfig("eps_mats", epsilon=eps, c=2.0)
         stats = LocalArmStats(n=[0, 2, 5, 1], mu_hat=[0.1, -0.2, 0.7, 0.0])
-        scores = sample_scores(stats, cfg, random.Random(123))
-        replay = random.Random(123)
-        expected = []
-        for j in range(4):
-            if replay.random() < 0.4:
-                expected.append(replay.gauss(stats.mu_hat[j],
-                                             math.sqrt(2.0 / (stats.n[j] + 1))))
-            else:
-                expected.append(stats.mu_hat[j])
-        assert scores == expected
+        rng = TrialDraws(123)
+        got = [sample_scores(stats, cfg, rng) for _ in range(50)]
+        gap_u = draws.uniforms(draws.stream_key(123, draws.GATES), 0, 200).tolist()
+        slots, slot = [], -1
+        for u in gap_u:
+            slot += math.floor(math.log1p(-u) / math.log1p(-eps)) + 1
+            slots.append(slot)
+        z = draws.normals(draws.stream_key(123, draws.SCORES), 0, 200)
+        expected = [list(stats.mu_hat) for _ in range(50)]
+        for k, slot in enumerate(s for s in slots if s < 200):
+            t, j = divmod(slot, 4)
+            expected[t][j] = stats.mu_hat[j] + math.sqrt(2.0 / (stats.n[j] + 1)) * z[k]
+        assert got == expected
+        assert got != [list(stats.mu_hat)] * 50
 
 
 class TestUcbScores:
@@ -172,7 +181,7 @@ class TestSelectArm:
         h = Hypergraph(2, [2, 2], [[0, 1]])
         stats = LocalArmStats.fresh(h.num_local_arms)
         cfg = PolicyConfig("random")
-        rng = random.Random(5)
+        rng = TrialDraws(5)
         counts = {}
         rounds = 100_000
         for _ in range(rounds):
@@ -187,14 +196,14 @@ class TestSelectArm:
         means = [rng_means.random() for _ in range(h.num_local_arms)]
         stats = LocalArmStats(n=[10] * h.num_local_arms, mu_hat=list(means))
         cfg = PolicyConfig("eps_mats", epsilon=0.0, c=1.0)
-        chosen = select_arm(h, stats, cfg, 1, random.Random(0))
+        chosen = select_arm(h, stats, cfg, 1, TrialDraws(0))
         assert chosen == brute_argmax(h, means).argmax
 
     def test_fresh_stats_returns_valid_assignment(self):
         h = Hypergraph(3, [2, 3, 2], [[0, 1], [1, 2]])
         stats = LocalArmStats.fresh(h.num_local_arms)
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
-        a = select_arm(h, stats, cfg, 1, random.Random(2))
+        a = select_arm(h, stats, cfg, 1, TrialDraws(2))
         assert len(a) == 3
         for arm, k in zip(a, h.arm_counts):
             assert 0 <= arm < k
@@ -204,7 +213,7 @@ class TestSelectArm:
         # local arms of a single binary pair should win equally often
         h = Hypergraph(2, [2, 2], [[0, 1]])
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
-        rng = random.Random(99)
+        rng = TrialDraws(99)
         rounds = 4000
         counts = {}
         for _ in range(rounds):
@@ -219,7 +228,7 @@ class TestSelectArm:
         h = Hypergraph(2, [2, 2], [[0], [1]])
         stats = LocalArmStats(n=[4, 0, 4, 0], mu_hat=[0.1, 0.0, 0.1, 0.0])
         cfg = PolicyConfig("ucb_baseline", ucb_range=1.0)
-        assert select_arm(h, stats, cfg, 50, random.Random(1)) == (1, 1)
+        assert select_arm(h, stats, cfg, 50, TrialDraws(1)) == (1, 1)
 
 
 class TestUpdateStats:
