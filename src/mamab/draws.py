@@ -13,28 +13,29 @@ purposes' streams, or on the other trials of a run.
 Streams are computed in numpy blocks that grow from FIRST_BLOCK entries
 to BLOCK_CAP and are read as Python lists. The hash mixes only uint64
 arrays and Python ints (numpy wraps arrays silently but warns on scalar
-overflow). The reference logarithms are Python's ``math`` ones: numpy's
-SIMD ``log`` and ``log1p`` differ from the C library's by an ulp on CPUs
-with AVX-512, while its float64 ``cos`` and ``sin`` agree with it on
-x86-64. Square roots, sums and products are correctly rounded either
-way.
+overflow). Logarithms, cosines and sines come from ``log`` and
+``cos_sin_2pi`` below, which use only exact steps (frexp, rint, scaling
+by powers of two) and IEEE-754 sums, products and quotients, each
+correctly rounded; so they give the same bits on every machine, unlike
+numpy's SIMD transcendentals, which vary with numpy's version and the
+CPU it dispatches for, and unlike the C library's. Both stay within two
+ulps of the exact values.
 
 * Normals come pairwise by Box-Muller: with u, v the uniforms 2i and
   2i + 1, z[2i] = r cos(2 pi v) and z[2i + 1] = r sin(2 pi v), where
   r = sqrt(-2 log(1 - u)).
 * Gate passes lie on the trial's slot axis (round t's slot j is
-  (t - 1) * width + j) at geometric gaps floor(log1p(-u) / log1p(-eps))
+  (t - 1) * width + j) at geometric gaps floor(log(1 - u) / log1p(-eps))
   + 1, one uniform a gap, so the passes of every slot are independent
   Bernoulli(eps). A gap is capped at MAX_GAP slots, so the passes are
-  exact for the first MAX_GAP slots of a trial. The reference log1p is
-  math's; numpy's computes the gaps, and a quotient within rounding of
-  an integer is recomputed with math's.
+  exact for the first MAX_GAP slots of a trial. The scale log1p(-eps),
+  one number a trial, is Python's ``math.log1p``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -80,110 +81,104 @@ def uniform_list(key: int, start: int, n: int) -> list[float]:
     return uniforms(key, start, n).tolist()
 
 
+LN2 = 0.6931471805599453          # log(2), correctly rounded
+SQRT_HALF = 0.7071067811865476
+# Horner coefficients, highest power first, of atanh(t) / t in t**2 and of
+# sin(x) / x and cos(x) in x**2; the first term dropped stays below
+# 2**-55 for |t| <= 3 - 2 sqrt(2) and |x| <= pi/4
+ATANH = [1.0 / (2 * k + 1) for k in range(9, -1, -1)]
+SIN = [(-1) ** k / math.factorial(2 * k + 1) for k in range(8, -1, -1)]
+COS = [(-1) ** k / math.factorial(2 * k) for k in range(8, -1, -1)]
+
+
+def _horner(coefs: list[float], x: np.ndarray) -> np.ndarray:
+    p = coefs[0] * x
+    for a in coefs[1:-1]:
+        p += a
+        p *= x
+    p += coefs[-1]
+    return p
+
+
+def log(x: np.ndarray) -> np.ndarray:
+    """Natural logarithm of positive finite x: with x = m * 2**e and m in
+    [sqrt(1/2), sqrt(2)), log x = e log 2 + 2 atanh((m - 1) / (m + 1))."""
+    m, e = np.frexp(x)
+    low = m < SQRT_HALF
+    m[low] *= 2.0
+    e -= low
+    t = (m - 1.0) / (m + 1.0)
+    return e * LN2 + 2.0 * t * _horner(ATANH, t * t)
+
+
+def cos_sin_2pi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2 pi v) and sin(2 pi v) for v in [0, 1]: with q the nearest
+    integer to 4v, 2 pi v = q pi/2 + x for x = (4v - q) pi/2, reduced
+    exactly, and |x| <= pi/4."""
+    w = v * 4.0
+    q = np.rint(w)
+    x = (w - q) * (math.pi / 2)
+    x2 = x * x
+    s = x * _horner(SIN, x2)
+    c = _horner(COS, x2)
+    turns = q.astype(np.int64) & 3
+    return np.choose(turns, (c, -s, -c, s)), np.choose(turns, (s, c, -s, -c))
+
+
 def normals(key: int, start: int, n: int) -> list[float]:
     """Normals at indices start .. start + n - 1, made pairwise from the
     uniform pairs that cover them."""
     first = start - start % 2
     u = uniforms(key, first, start + n - first + (start + n) % 2)
-    r = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - u[0::2]).tolist()))))
-    theta = 2.0 * math.pi * u[1::2]
+    r = np.sqrt(-2.0 * log(1.0 - u[0::2]))
+    cos, sin = cos_sin_2pi(u[1::2])
     z = np.empty(len(u))
-    np.multiply(r, np.cos(theta), out=z[0::2])
-    np.multiply(r, np.sin(theta), out=z[1::2])
+    np.multiply(r, cos, out=z[0::2])
+    np.multiply(r, sin, out=z[1::2])
     return z[start - first:start - first + n].tolist()
 
 
+def gaps(u: np.ndarray, scale: float) -> np.ndarray:
+    """Geometric gaps floor(log(1 - u) / scale) + 1 of the uniforms u,
+    with scale = log1p(-eps)."""
+    # 1 - u is exact for u a multiple of 2**-53; clipping its log at
+    # MAX_GAP * scale bounds the quotient by MAX_GAP, so neither the
+    # division nor the int64 gap overflows
+    q = np.maximum(log(1.0 - u), MAX_GAP * scale) / scale
+    return np.floor(q).astype(np.int64) + 1
+
+
+def _blocks(key: int, make):
+    """make(key, start, n)'s values in consecutive blocks of n, growing
+    from FIRST_BLOCK to BLOCK_CAP entries."""
+    start, size = 0, FIRST_BLOCK
+    while True:
+        size = min(size, BLOCK_CAP)
+        yield make(key, start, size)
+        start += size
+        size *= 2
+
+
 class _Stream:
-    """One purpose's values, read in order through a growing block."""
+    """One purpose's values, read in order, a slice at a time."""
 
     def __init__(self, key: int, make):
-        self.key = key
-        self.make = make          # (key, start, n) -> list of values
+        self.blocks = _blocks(key, make)
         self.buf = []
         self.pos = 0
-        self.next_index = 0       # address of the entry after buf's last
-        self.size = FIRST_BLOCK
 
     def take(self, n: int) -> list:
         """The next n values."""
         pos = self.pos
         end = pos + n
         if end > len(self.buf):
-            self._refill(n)
+            buf = self.buf[pos:]
+            while len(buf) < n:
+                buf += next(self.blocks)
+            self.buf = buf
             pos, end = 0, n
         self.pos = end
         return self.buf[pos:end]
-
-    def _refill(self, n: int):
-        buf = self.buf[self.pos:]
-        while len(buf) < n:
-            size = min(self.size, BLOCK_CAP)
-            buf += self.make(self.key, self.next_index, size)
-            self.next_index += size
-            self.size = size * 2
-        self.buf = buf
-        self.pos = 0
-
-
-def gaps(u: np.ndarray, scale: float) -> np.ndarray:
-    """Geometric gaps floor(log1p(-u) / scale) + 1 of the uniforms u,
-    with scale = log1p(-eps)."""
-    # clipping log1p(-u) at MAX_GAP * scale bounds the quotient by MAX_GAP,
-    # so neither the division nor the int64 gap overflows
-    q = np.maximum(np.log1p(-u), MAX_GAP * scale) / scale
-    # numpy's log1p may differ from math.log1p, the reference, by an ulp or
-    # so; that moves a floor only where q lies within rounding of an
-    # integer, so those quotients are recomputed with math.log1p
-    for i in np.flatnonzero(np.abs(q - np.rint(q)) < 1e-9 * q).tolist():
-        q[i] = max(math.log1p(-float(u[i])), MAX_GAP * scale) / scale
-    return np.floor(q).astype(np.int64) + 1
-
-
-class _Passes:
-    """The gate passes at one epsilon on a slot axis cut into rows of
-    `width` slots: pass k lies at slot s_k = s_(k-1) + gap_k, s_0 = -1,
-    that is in row s_k // width at offset s_k % width. Each block of
-    gaps is placed at once, so a row's passes are one slice."""
-
-    def __init__(self, key: int, eps: float, width: int):
-        self.key = key
-        self.eps = eps
-        self.width = width
-        self.scale = -math.inf if eps == 1.0 else math.log1p(-eps)
-        self.next_index = 0       # address of the next gap uniform
-        self.size = FIRST_BLOCK
-        self.last = -1            # slot of the last pass placed
-        self.base = 0             # the row that `rows` counts from
-        self.rows = []            # row of each pass placed, minus base
-        self.offsets = []         # offset of each pass placed
-        self.lo = 0               # the first pass not yet read
-        self.row = 0              # the next row to read
-
-    def next_row(self) -> list[int]:
-        """Offsets of the passes in the next row."""
-        row = self.row
-        self.row = row + 1
-        hi = bisect_right(self.rows, row - self.base, self.lo)
-        while hi == len(self.rows):
-            self._extend()
-            hi = bisect_right(self.rows, row - self.base)
-        lo, self.lo = self.lo, hi
-        return self.offsets[lo:hi]
-
-    def _extend(self):
-        n = min(self.size, BLOCK_CAP)
-        block = gaps(uniforms(self.key, self.next_index, n), self.scale)
-        self.next_index += n
-        self.size = n * 2
-        # a block's gaps sum below 2**62, so int64 slots counted from the
-        # last pass's row cannot overflow
-        row, offset = divmod(self.last, self.width)
-        slots = np.cumsum(block) + offset
-        shift = row - self.base
-        self.rows = [r - shift for r in self.rows[self.lo:]] + (slots // self.width).tolist()
-        self.offsets = self.offsets[self.lo:] + (slots % self.width).tolist()
-        self.base, self.lo = row, 0
-        self.last += int(block.sum())
 
 
 class TrialDraws:
@@ -202,18 +197,31 @@ class TrialDraws:
         self.rewards = _Stream(stream_key(seed, REWARDS), uniform_list)
         self.reward_normals = _Stream(stream_key(seed, REWARD_NORMALS), normals)
         self.choices = _Stream(stream_key(seed, CHOICES), uniform_list)
-        self._passes = None
+        self.gate = None          # the trial's (eps, width), once drawn
+        self.gaps = None          # its gate gaps, in order
+        self.next_pass = 0        # slot of the next pass, from the next row's start
 
     def passes(self, eps: float, width: int) -> list[int]:
         """Offsets j in [0, width) of the next row of `width` slots whose
         gate passes with probability eps. A trial keeps one eps and one
         width."""
-        passes = self._passes
-        if passes is None or passes.eps != eps or passes.width != width:
+        if self.gate != (eps, width):
             if eps == 0.0:
                 return []
-            if passes is not None:
-                raise ValueError(f"this trial's gates were drawn at epsilon {passes.eps} "
-                                 f"over {passes.width} slots, not {eps} over {width}")
-            passes = self._passes = _Passes(stream_key(self.seed, GATES), eps, width)
-        return passes.next_row()
+            if self.gate is not None:
+                raise ValueError(f"this trial's gates were drawn at epsilon {self.gate[0]} "
+                                 f"over {self.gate[1]} slots, not {eps} over {width}")
+            self.gate = (eps, width)
+            scale = -math.inf if eps == 1.0 else math.log1p(-eps)
+            self.gaps = chain.from_iterable(_blocks(
+                stream_key(self.seed, GATES),
+                lambda key, start, n: gaps(uniforms(key, start, n), scale).tolist()))
+            # pass k lies at slot s_k = s_(k-1) + gap_k, with s_0 = -1
+            self.next_pass = next(self.gaps) - 1
+        s = self.next_pass
+        row = []
+        while s < width:
+            row.append(s)
+            s += next(self.gaps)
+        self.next_pass = s - width
+        return row

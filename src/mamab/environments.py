@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from random import Random
 from typing import Optional, Sequence
 
@@ -113,14 +112,23 @@ class RestrictedCandidates:
         return EliminationResult(tuple(sub_arms), sub_total, ops)
 
     def sample(self, rng: TrialDraws) -> JointAssignment:
-        """Uniform draw over the candidate list: index floor(u * size)
-        for the next choice uniform u, which is uniform while size is
-        at most 2**53; a larger set is refused."""
+        """Uniform draw over the candidate list, of any size. With B = 53k
+        for the fewest k choice uniforms whose 53 bits each cover size,
+        and x the B-bit integer they make, the index is x * size >> B,
+        redrawn while x * size mod 2**B falls below 2**B mod size
+        (Lemire's rejection), so every index has the same chance."""
         size = self.size
-        if size > 2 ** 53:
-            raise ValueError(f"cannot sample uniformly from {size} candidates "
-                             f"with one uniform (at most 2**53)")
-        idx = int(rng.choices.take(1)[0] * size)
+        k = -(-size.bit_length() // 53)
+        bits = 53 * k
+        reject = (1 << bits) % size
+        while True:
+            x = 0
+            for u in rng.choices.take(k):
+                x = x << 53 | int(u * 2.0 ** 53)
+            m = x * size
+            if m & ((1 << bits) - 1) >= reject:
+                break
+        idx = m >> bits
         if idx == 0:
             return self.optimal
         combo = _mixed_radix_decode(idx - 1, [self.num_decoys] * len(self.offsets))
@@ -136,11 +144,6 @@ class Environment:
     optimal_value: float
     name: str
     candidates: Optional[RestrictedCandidates] = None
-
-    @cached_property
-    def family(self) -> Optional[str]:
-        """The reward family every group shares, or None when they differ."""
-        return self.families[0] if len(set(self.families)) == 1 else None
 
 
 def make_environment(graph: Hypergraph, means: Sequence[float],
@@ -307,23 +310,24 @@ def lower_bound_env(rho: int, L: int, X: float, delta: float) -> Environment:
 def sample_rewards_at(env: Environment, flat: Sequence[int],
                       rng: TrialDraws) -> list[float]:
     means = env.means
-    family = env.family
-    if family == "bernoulli":
-        return [1.0 if x < means[j] else 0.0 for x, j in zip(rng.rewards.take(len(flat)), flat)]
-    if family == "gaussian":
-        return [means[j] + x for x, j in zip(rng.reward_normals.take(len(flat)), flat)]
     families = env.families
-    u = rng.rewards.take(len(flat))
-    z = None
+    u = z = None
     out = []
     for e, j in enumerate(flat):
         fam = families[e]
+        if fam == "gaussian":
+            if z is None:
+                z = rng.reward_normals.take(len(flat))
+            out.append(means[j] + z[e])
+            continue
+        if u is None:
+            u = rng.rewards.take(len(flat))
         if fam == "bernoulli":
             out.append(1.0 if u[e] < means[j] else 0.0)
-        elif fam == "poisson":
-            # inversion: the smallest k whose cdf reaches u; should
-            # rounding leave the cdf below u, p underflows to 0 far
-            # past the mean and ends the loop
+        else:
+            # poisson by inversion: the smallest k whose cdf reaches u;
+            # should rounding leave the cdf below u, p underflows to 0
+            # far past the mean and ends the loop
             lam = means[j]
             p = cdf = math.exp(-lam)
             k = 0
@@ -332,10 +336,6 @@ def sample_rewards_at(env: Environment, flat: Sequence[int],
                 p *= lam / k
                 cdf += p
             out.append(float(k))
-        else:
-            if z is None:
-                z = rng.reward_normals.take(len(flat))
-            out.append(means[j] + z[e])
     return out
 
 

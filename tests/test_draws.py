@@ -48,16 +48,90 @@ def test_hash_matches_pure_python_splitmix64(seed, index):
             assert got == [reference_uniform(seed, purpose, index + i) for i in range(3)]
 
 
+def reference_log(x):
+    """draws.log's steps on one Python float."""
+    m, e = math.frexp(x)
+    if m < draws.SQRT_HALF:
+        m, e = m * 2.0, e - 1
+    t = (m - 1.0) / (m + 1.0)
+    return e * draws.LN2 + 2.0 * t * reference_horner(draws.ATANH, t * t)
+
+
+def reference_cos_sin_2pi(v):
+    """draws.cos_sin_2pi's steps on one Python float."""
+    w = v * 4.0
+    q = round(w)
+    x = (w - q) * (math.pi / 2)
+    s = x * reference_horner(draws.SIN, x * x)
+    c = reference_horner(draws.COS, x * x)
+    return [(c, s), (-s, c), (-c, -s), (s, -c)][q & 3]
+
+
+def reference_horner(coefs, x):
+    p = coefs[0] * x
+    for a in coefs[1:-1]:
+        p = (p + a) * x
+    return p + coefs[-1]
+
+
+EDGES = [0.0, 2.0 ** -53, 0.125, 0.125 - 2.0 ** -53, 0.25, 0.5, 0.625, 0.875,
+         1.0 - 2.0 ** -53]
+
+
+def test_log_and_trig_are_the_same_ieee_steps_on_every_machine():
+    # vector and scalar IEEE-754 arithmetic round alike, so the numpy
+    # kernels equal their steps replayed on Python floats bit for bit;
+    # a numpy or C-library transcendental in their place would not
+    u = draws.uniforms(draws.stream_key(5, 1), 0, 4000).tolist() + EDGES
+    x = [1.0 - a for a in u]
+    assert draws.log(np.array(x)).tolist() == [reference_log(a) for a in x]
+    cos, sin = draws.cos_sin_2pi(np.array(u))
+    assert list(zip(cos.tolist(), sin.tolist())) == [reference_cos_sin_2pi(a) for a in u]
+
+
+def test_log_and_trig_stay_within_two_ulps():
+    # the C library's log is within an ulp of exact; math.cos(2 pi v)
+    # rounds 2 pi v first, so the reference angle is reduced as the
+    # kernel reduces it and the polynomial part is compared
+    u = draws.uniforms(draws.stream_key(6, 1), 0, 20000).tolist() + EDGES
+    x = [1.0 - a for a in u]
+    for got, a in zip(draws.log(np.array(x)).tolist(), x):
+        assert abs(got - math.log(a)) <= 3 * math.ulp(math.log(a))
+    cos, sin = draws.cos_sin_2pi(np.array(u))
+    for c, s, v in zip(cos.tolist(), sin.tolist(), u):
+        q = round(v * 4.0)
+        angle = (v * 4.0 - q) * (math.pi / 2) + q * (math.pi / 2)
+        assert abs(c - math.cos(angle)) <= 2.0 ** -50
+        assert abs(s - math.sin(angle)) <= 2.0 ** -50
+        assert abs(c) <= 1.0 and abs(s) <= 1.0
+    assert draws.log(np.array([1.0, 0.5, 0.25])).tolist() == [0.0, -draws.LN2, -2 * draws.LN2]
+
+
+def test_draws_call_no_numpy_transcendental(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy transcendental was called")
+    for name in ("log", "log1p", "exp", "cos", "sin", "tan", "arctan2"):
+        monkeypatch.setattr(np, name, refuse)
+    rng = TrialDraws(8)
+    rng.scores.take(500)
+    rng.reward_normals.take(500)
+    for _ in range(100):
+        rng.passes(0.3, 17)
+
+
 @pytest.mark.parametrize("index", [0, 1, 2 ** 32, 2 ** 32 + 1])
 def test_normals_are_box_muller_of_their_uniform_pair(index):
     key = draws.stream_key(7, draws.SCORES)
     pair = index - index % 2
     u, v = draws.uniforms(key, pair, 2).tolist()
-    r = math.sqrt(-2.0 * math.log(1.0 - u))
-    expected = r * (math.cos if index % 2 == 0 else math.sin)(2.0 * math.pi * v)
+    r = math.sqrt(-2.0 * reference_log(1.0 - u))
+    expected = r * reference_cos_sin_2pi(v)[index % 2]
     assert draws.normals(key, index, 1) == [expected]
     # the same value wherever a block starts or ends
     assert draws.normals(key, pair, 4)[index - pair] == expected
+    # and within rounding of the exact transform
+    exact = math.sqrt(-2.0 * math.log(1.0 - u)) * (math.cos, math.sin)[index % 2](2.0 * math.pi * v)
+    assert abs(expected - exact) <= 1e-14 * max(1.0, abs(exact))
 
 
 def test_streams_differ_by_seed_and_purpose():
@@ -94,19 +168,13 @@ def test_epsilon_zero_never_passes_and_epsilon_one_always_does():
         assert every.passes(1.0, 37) == list(range(37))
 
 
-@pytest.mark.parametrize("ulps", [0, -1, 1])
-def test_gaps_follow_math_log1p_even_off_by_an_ulp(monkeypatch, ulps):
-    # numpy's log1p may differ from math's by an ulp (keeping log1p(0) = 0);
-    # a gap whose quotient is an integer (u = 0.5 and 0.75 at eps = 0.5)
-    # must not move
-    log1p = np.log1p
-    if ulps:
-        monkeypatch.setattr(np, "log1p", lambda x: np.where(
-            x == 0, 0.0, np.nextafter(log1p(x), ulps * np.inf)))
+def test_gaps_follow_the_kernel_log():
+    # quotients that are integers (u = 0.5 and 0.75 at eps = 0.5) give
+    # exact gaps, since log(1/2) and log(1/4) are -log 2 and -2 log 2
     u = np.concatenate([[0.5, 0.75, 0.0], draws.uniforms(draws.stream_key(4, 0), 0, 500)])
     for eps in (0.5, 0.3, 1e-3):
         scale = math.log1p(-eps)
-        expected = [math.floor(math.log1p(-x) / scale) + 1 for x in u.tolist()]
+        expected = [math.floor(reference_log(1.0 - x) / scale) + 1 for x in u.tolist()]
         assert draws.gaps(u, scale).tolist() == expected
     assert draws.gaps(u[:3], math.log1p(-0.5)).tolist() == [2, 3, 1]
 
@@ -117,7 +185,8 @@ def test_tiny_epsilon_passes_nowhere_within_the_horizon():
     rng = TrialDraws(11)
     with np.errstate(all="raise"):
         assert not any(rng.passes(5e-324, 500) for _ in range(2000))
-    assert rng._passes.last >= 10 ** 6
+    # the clipped first gap puts the first pass at slot MAX_GAP
+    assert rng.next_pass == draws.MAX_GAP - 2000 * 500
 
 
 def test_passes_are_independent_bernoulli_per_slot():

@@ -13,6 +13,7 @@ from mamab.environments import (
     POISSON_PAIR_TABLE,
     POISSON_MAX_MEAN,
     InvalidEnvironmentError,
+    RestrictedCandidates,
     chain_env,
     decoys_per_group,
     gem_mining_env,
@@ -251,11 +252,56 @@ class TestLowerBoundEnvironment:
         for c in counts.values():
             assert abs(c / rounds - 0.2) < 0.01
 
-    def test_candidate_sampling_refuses_sets_beyond_2_to_53(self):
-        # floor(u * size) reaches at most 2**53 indices of a larger set
+    def test_candidate_sampling_uniform_beyond_2_to_53(self):
+        # 50**10 + 1 candidates take two choice uniforms a draw; each
+        # agent's arm is the optimal one with chance 1 / size and
+        # otherwise a decoy, uniform on 1..50
         env = lower_bound_env(10, 50, 3.5, 0.5)
-        with pytest.raises(ValueError, match="cannot sample uniformly"):
-            env.candidates.sample(TrialDraws(0))
+        rng = TrialDraws(0)
+        rounds = 20_000
+        counts = np.zeros((10, 51))
+        for _ in range(rounds):
+            counts[np.arange(10), env.candidates.sample(rng)] += 1
+        assert not counts[:, 0].any()
+        sigma = math.sqrt(rounds / 50 * (1 - 1 / 50))
+        assert np.all(np.abs(counts[:, 1:] - rounds / 50) <= 5 * sigma)
+
+    def test_candidate_sampling_by_multiply_shift(self):
+        # index x * size >> 106 of the candidate list, for x the 106-bit
+        # integer of two choice uniforms; list entry i > 0 is the decoy
+        # combination whose base-50 digits, first agent first, are i - 1
+        cands = lower_bound_env(10, 50, 3.5, 0.5).candidates
+        for seed in range(20):
+            u, v = TrialDraws(seed).choices.take(2)
+            x = int(u * 2.0 ** 53) << 53 | int(v * 2.0 ** 53)
+            rest = (x * cands.size >> 106) - 1
+            digits = []
+            for _ in range(10):
+                rest, d = divmod(rest, 50)
+                digits.append(d + 1)
+            assert cands.sample(TrialDraws(seed)) == tuple(reversed(digits))
+
+    def test_candidate_sampling_rejects_the_biased_remainder(self):
+        # 8192**4 + 1 = 2**52 + 1 candidates: one uniform's 53 bits cover
+        # them, and about half the draws land in the remainder that
+        # Lemire's rejection redraws
+        size = 2 ** 52 + 1
+        cands = RestrictedCandidates(offsets=tuple(range(0, 4 * 8193, 8193)),
+                                     num_decoys=8192, optimal=(0,) * 4)
+        assert cands.size == size
+        redrawn = 0
+        for seed in range(20):
+            rng, replay = TrialDraws(seed), TrialDraws(seed)
+            while True:
+                m = int(replay.choices.take(1)[0] * 2.0 ** 53) * size
+                if m % 2 ** 53 >= 2 ** 53 % size:
+                    break
+                redrawn += 1
+            idx = m >> 53
+            expected = (0,) * 4 if idx == 0 else tuple(
+                (idx - 1) // 8192 ** (3 - i) % 8192 + 1 for i in range(4))
+            assert cands.sample(rng) == expected
+        assert redrawn >= 3
 
     def test_decoy_sizing_grows_with_groups(self):
         sizes = [decoys_per_group(rho) for rho in (1, 2, 4)]
