@@ -206,12 +206,13 @@ class TrialDraws:
         gate passes with probability eps. A trial keeps one eps and one
         width."""
         if self.gate != (eps, width):
-            if eps == 0.0:
-                return []
             if self.gate is not None:
                 raise ValueError(f"this trial's gates were drawn at epsilon {self.gate[0]} "
                                  f"over {self.gate[1]} slots, not {eps} over {width}")
             self.gate = (eps, width)
+            if eps == 0.0:
+                self.next_pass = math.inf     # no gate ever passes
+                return []
             scale = -math.inf if eps == 1.0 else math.log1p(-eps)
             self.gaps = chain.from_iterable(_blocks(
                 stream_key(self.seed, GATES),

@@ -23,14 +23,14 @@ cells. Once a graph has been argmaxed more than COMPILE_AFTER times, the
 schedule is emitted as loop-free Python source (one local per merged
 cell, one strict `>` per candidate arm, constant-index backtracking),
 compiled in chunks of about CHUNK_LINES lines, cut between any two
-output rows, and run instead, 4-11x faster on the benchmark graphs;
-every schedule compiles. A chunk reads what an earlier one computed
-inline: a cell as `T[slot]`, an arm as `A[agent]`. The interpreter stays
-the cold path and the reference: both add the same floats in the same
-order from 0.0, so their results are bit-identical. The graph caches
-the schedule (`_ve_schedule`), which counts the uncompiled calls and
-holds the kernel. `_load`, COMPILE_AFTER (with what a compile costs) and
-CHUNK_LINES are shared with the flat-index kernel and live in
+output rows, and run instead, 4.7-10.7x faster on the benchmark graphs;
+every schedule compiles. Chunks carry by append, read by a position
+fixed at emit time: cells in `T`, maximizers in `G[j]`, arms in `A`. The
+interpreter stays the cold path and the reference: both add the same
+floats in the same order from 0.0, so results are bit-identical. The
+graph caches the schedule (`_ve_schedule`), which counts the uncompiled
+calls and holds the kernel. `_load`, COMPILE_AFTER (with what a compile
+costs) and CHUNK_LINES are shared with the flat-index kernel and live in
 `hypergraph`; this module re-exports the two constants.
 
 `_build_schedule` keeps an index from each agent to the alive factors
@@ -224,7 +224,9 @@ class _Emitter:
         self.chunks: list[str] = []
 
     def fits(self, n: int) -> bool:
-        """Whether `n` more lines (a close's among them) fit; an empty chunk takes any."""
+        """Whether `n` more lines, a close's among them, fit; an empty chunk
+        takes any. Each forward row asks for the same count, so a step
+        that fits whole is never cut."""
         return not self.lines or len(self.lines) + n <= CHUNK_LINES
 
     def close(self, *tail: str) -> None:
@@ -243,22 +245,29 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]]:
     chunk ends between any two output rows; a row's k candidate lines
     stay together. Slots below A_loc are leaf cells, read from `s` in
     place; local `x<slot>` holds an output cell in the chunk that computed
-    it, which stores it as `T[slot]` if a later chunk reads it, and G[j]
+    it. Every output table is read by one later step and each scalar by
+    the return, so a forward chunk ends with one `T += (x<slot>, ...)` of
+    its cells whose table the current step or a later one reads, and a
+    later chunk reads such a cell as `T[i]`, its position fixed here; G[j]
     gets step j's maximizers one piece per chunk. Every literal is an
     integer from the schedule."""
     leaves = sched.steps[0].out_slot          # A_loc: the first output slot
-    # slot -> the last row (numbered over all steps) that reads it;
-    # the return reads the scalars
-    last_read = dict.fromkeys(sched.scalars, math.inf)
-    row = 0
-    for step in sched.steps:
-        for col in step.inputs:
-            last_read.update((slot, row + c // step.k) for c, slot in enumerate(col))
-        row += step.out_size
-    live = set()           # cells of the open chunk that a later row reads
+    # table (first slot) -> the step that reads it; the return reads the scalars
+    reader = dict.fromkeys(sched.scalars, len(sched.steps))
+    reader.update((col[0], j) for j, step in enumerate(sched.steps) for col in step.inputs)
+    at = {}                # slot -> position in T of a cell an earlier chunk appended
+    made = []              # (slot, reading step) of each cell the open chunk computed
 
     def ref(slot):
-        return f"s[{slot}]" if slot < leaves else f"x{slot}" if slot in live else f"T[{slot}]"
+        return f"s[{slot}]" if slot < leaves else f"T[{at[slot]}]" if slot in at else f"x{slot}"
+
+    def append(j):
+        # the open chunk's cells that step j or a later one reads
+        kept = [x for x, by in made if by >= j]
+        made.clear()
+        for x in kept:
+            at[x] = len(at)
+        return f"T += ({''.join(f'x{x}, ' for x in kept)})"
 
     def maximizers(j, first, stop):
         # G[j]'s piece for rows first .. stop - 1, if the step has a choice
@@ -268,28 +277,17 @@ def _kernel_source(sched: _Schedule) -> tuple[list[str], list[str]]:
 
     forward = _Emitter("def f(s, T, G):")
     lines = forward.lines
-    row = 0
     for j, step in enumerate(sched.steps):
         k = step.k
         first = 0          # first row of step j in the open chunk
-        # the step goes whole into the open chunk if its rows, G[j] and a
-        # store per cell live after it fit; a row's check below reserves a
-        # store for each input cell the rest of the step still reads
-        end = row + step.out_size
-        whole = len(lines) + step.out_size * (k + 1) + (k > 1) + sum(
-            last_read[x] >= end for x in live) <= CHUNK_LINES
         for r in range(step.out_size):
-            # the row, its piece of G[j] and a store per live cell, its own included
-            if not whole and not forward.fits(k + (k > 1) + len(live) + 1):
-                forward.close(*maximizers(j, first, r), *(f"T[{x}] = x{x}" for x in sorted(live)))
-                live.clear()
+            # the row, its piece of G[j] and the append
+            if not forward.fits(k + (k > 1) + 1):
+                forward.close(*maximizers(j, first, r), append(j))
                 first = r
-            cells = [[col[c] for col in step.inputs] for c in range(r * k, r * k + k)]
-            terms = [" + ".join(map(ref, cell)) for cell in cells]
-            live -= {x for cell in cells for x in cell if last_read[x] == row}
+            terms = [" + ".join(ref(col[c]) for col in step.inputs) for c in range(r * k, r * k + k)]
             out = step.out_slot + r
-            live.add(out)
-            row += 1
+            made.append((out, reader[step.out_slot]))
             # strict > keeps the smallest maximizing arm, as the interpreter does
             lines.append(f"x{out} = {terms[0]}" + (f"; g{r} = 0" if k > 1 else ""))
             lines += [f"if (v := {terms[a]}) > x{out}: x{out} = v; g{r} = {a}"
@@ -324,7 +322,7 @@ def _compile_kernel(sched: _Schedule):
     num_steps = len(sched.steps)
 
     def kernel(s):
-        T = {}
+        T = []
         G = [None] * num_steps
         for f in head:
             f(s, T, G)

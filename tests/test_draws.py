@@ -214,3 +214,10 @@ def test_one_trial_keeps_one_epsilon_and_width():
         rng.passes(0.2, 4)
     with pytest.raises(ValueError, match="not 0.1 over 5"):
         rng.passes(0.1, 5)
+    with pytest.raises(ValueError, match="not 0.0 over 4"):
+        rng.passes(0.0, 4)
+    # epsilon 0 fixes the trial's gate too
+    rng = TrialDraws(1)
+    assert rng.passes(0.0, 4) == rng.passes(0.0, 4) == []
+    with pytest.raises(ValueError, match="epsilon 0.0 over 4 slots, not 0.1 over 4"):
+        rng.passes(0.1, 4)

@@ -11,7 +11,7 @@ from mamab import elimination
 from mamab.elimination import (
     CHUNK_LINES, COMPILE_AFTER, DEFAULT_BRUTE_CAP, _build_schedule, _compile_kernel,
     _interpret, _kernel_source, assignment_value, brute_argmax, joint_totals, ve_argmax)
-from mamab.environments import gem_mining_env
+from mamab.environments import chain_env, gem_mining_env
 from mamab.hypergraph import Hypergraph, enumerate_joint
 
 from test_hypergraph import assert_integer_literals_only, chain_groups, random_hypergraph
@@ -456,6 +456,36 @@ class TestCompiledKernel:
                 # return, which no chunk reserves
                 assert len(text.splitlines()) <= 2 + CHUNK_LINES
                 assert_integer_literals_only(text, ("f", "b"), name)
+
+    def test_each_forward_chunk_appends_what_later_steps_read(self):
+        # every forward chunk but the last ends with one `T += (...)` of the
+        # cells it computed whose table the step open at the cut, or a later
+        # one, reads; the return reads the scalars; no chunk stores T[slot]
+        for h in (chain_env(100, 2, "poisson").graph, chain_env(20, 3, "bernoulli").graph,
+                  gem_graph(20, 42), star(10)):
+            sched = _build_schedule(h)
+            steps = sched.steps
+            reader = dict.fromkeys(sched.scalars, len(steps))
+            for j, step in enumerate(steps):
+                for col in step.inputs:
+                    reader[col[0]] = j
+            # output slot -> (its step, the step that reads its table)
+            owner = {step.out_slot + r: (j, reader[step.out_slot])
+                     for j, step in enumerate(steps) for r in range(step.out_size)}
+            forward, _ = _kernel_source(sched)
+            assert len(forward) > 1
+            computed = [[int(x) for x in re.findall(r"^    x(\d+) = ", text, re.M)]
+                        for text in forward]
+            for c, text in enumerate(forward):
+                assert not re.search(r"T\[\d+\] =", text)
+                appends = re.findall(r"^    T \+= .*$", text, re.M)
+                if c == len(forward) - 1:
+                    assert appends == []
+                    continue
+                cut = owner[computed[c + 1][0]][0]        # the step open at the cut
+                kept = [x for x in computed[c] if owner[x][1] >= cut]
+                assert appends == [f"    T += ({''.join(f'x{x}, ' for x in kept)})"]
+                assert text.endswith(appends[0] + "\n")
 
 
 class TestSlotSpace:
