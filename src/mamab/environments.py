@@ -10,8 +10,10 @@ normals alike when some group is gaussian; group e's reward is drawn
 from entry e of its family's slice.
 
 Families: ``bernoulli`` (mean in [0, 1]; reward 1 when u < mean),
-``poisson`` (mean in [0, POISSON_MAX_MEAN], by inversion of u; note
-Poisson tails are heavier than Gaussian; it is included for benchmark
+``poisson`` (mean in [0, POISSON_MAX_MEAN], by inversion of u, starting
+from the mass exp(-mean) at 0 that the environment computes once per
+local arm when it is built, ``Environment.zero_mass``; note Poisson
+tails are heavier than Gaussian; it is included for benchmark
 fidelity), ``gaussian`` (unit variance; mean + z).
 
 Range errors from the builders name the parameter by its config key.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Optional, Sequence
 
@@ -144,6 +146,18 @@ class Environment:
     optimal_value: float
     name: str
     candidates: Optional[RestrictedCandidates] = None
+    # exp(-mean) of each local arm of a Poisson group, the mass at 0 its
+    # inversion starts from; 0.0 for the other arms
+    zero_mass: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mass = [0.0] * len(self.means)
+        for e, fam in enumerate(self.families):
+            if fam == "poisson":
+                lo = self.graph.local_offsets[e]
+                for j in range(lo, lo + self.graph.group_sizes[e]):
+                    mass[j] = math.exp(-self.means[j])
+        object.__setattr__(self, "zero_mass", tuple(mass))
 
 
 def make_environment(graph: Hypergraph, means: Sequence[float],
@@ -310,6 +324,7 @@ def lower_bound_env(rho: int, L: int, X: float, delta: float) -> Environment:
 def sample_rewards_at(env: Environment, flat: Sequence[int],
                       rng: TrialDraws) -> list[float]:
     means = env.means
+    zero_mass = env.zero_mass
     families = env.families
     u = z = None
     out = []
@@ -329,7 +344,7 @@ def sample_rewards_at(env: Environment, flat: Sequence[int],
             # should rounding leave the cdf below u, p underflows to 0
             # far past the mean and ends the loop
             lam = means[j]
-            p = cdf = math.exp(-lam)
+            p = cdf = zero_mass[j]
             k = 0
             while u[e] > cdf and p:
                 k += 1

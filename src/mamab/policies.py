@@ -9,7 +9,9 @@ Three policy kinds share one interface:
   smaller epsilon trades exploration for speed.
 * ``ucb_baseline``: optimism bonus added to each local mean. This is a
   plain UCB-style construction for comparison runs, not a faithful
-  reimplementation of any published multi-agent UCB method.
+  reimplementation of any published multi-agent UCB method. The bonus's
+  denominator 2 (n + 1) is read from a table indexed by the pull count n
+  (``_UCB_DENOMINATORS``), built once and grown to the largest count met.
 * ``random``: uniform independent arm per agent.
 
 All randomness comes from the caller's ``TrialDraws`` (see
@@ -74,6 +76,11 @@ class LocalArmStats:
     n: list[int]
     mu_hat: list[float]
 
+    def __post_init__(self):
+        # a negative count would index the UCB table from its end
+        if min(self.n, default=0) < 0:
+            raise ValueError(f"pull counts must be >= 0, got {min(self.n)}")
+
     @classmethod
     def fresh(cls, num_local_arms: int) -> "LocalArmStats":
         return cls(n=[0] * num_local_arms, mu_hat=[0.0] * num_local_arms)
@@ -114,16 +121,33 @@ def sample_scores(stats: LocalArmStats, cfg: PolicyConfig, rng: TrialDraws,
     return scores
 
 
+# Entry n is 2.0 * (n + 1), the UCB denominator of an arm pulled n times,
+# so reading it gives the bits computing it would. An entry depends on n
+# alone, so every caller shares the table; a growth replaces it whole, so
+# a caller holding the old one still reads correct entries.
+_UCB_DENOMINATORS: list[float] = []
+
+
 def ucb_scores(stats: LocalArmStats, t: int, cfg: PolicyConfig) -> list[float]:
     """Optimistic score per local arm:
-    mu_hat[j] + ucb_range * sqrt(ln(t * A_loc) / (2 * (n[j] + 1))).
+    mu_hat[j] + ucb_range * sqrt(ln(t * A_loc) / (2 * (n[j] + 1))),
+    the denominator read from ``_UCB_DENOMINATORS``. A count past the
+    table's end grows it to cover that count and at least doubles it.
     """
+    global _UCB_DENOMINATORS
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     scale = cfg.ucb_range
     log_term = math.log(t * len(stats))
-    return [m + scale * math.sqrt(log_term / (2.0 * (nj + 1)))
-            for m, nj in zip(stats.mu_hat, stats.n)]
+    sqrt = math.sqrt
+    while True:
+        den = _UCB_DENOMINATORS
+        try:
+            return [m + scale * sqrt(log_term / den[nj])
+                    for m, nj in zip(stats.mu_hat, stats.n)]
+        except IndexError:
+            size = max(max(stats.n) + 1, 2 * len(den))
+            _UCB_DENOMINATORS = [2.0 * (nj + 1) for nj in range(size)]
 
 
 def select_arm(h: Hypergraph, stats: LocalArmStats, cfg: PolicyConfig, t: int,

@@ -59,6 +59,28 @@ def test_no_break_even_for_a_slower_kernel(bench_pair, monkeypatch):
     assert all(graph["break_even_calls"] is None for graph in costs["graphs"].values())
 
 
+def test_paired_rounds_alternate_and_report_the_median_ratio(bench_pair, monkeypatch):
+    # a clock that each call advances by its cost: 3 a call on the slow
+    # side, 1 on the fast side except in the third round, where it is 2
+    clock = [0.0]
+    order = []
+
+    def slow(x):
+        order.append("slow")
+        clock[0] += 3.0
+
+    def fast(x):
+        order.append("fast")
+        clock[0] += 2.0 if len(order) in (11, 12) else 1.0
+
+    monkeypatch.setattr(bench_pair.time, "perf_counter", lambda: clock[0])
+    slow_s, fast_s, ratio = bench_pair.paired_per_call(slow, fast, [None, None], 5)
+    first, second = ["slow"] * 2 + ["fast"] * 2, ["fast"] * 2 + ["slow"] * 2
+    assert order == (first + second) * 2 + first
+    # the ratios are 3, 3, 1.5, 3, 3
+    assert (slow_s, fast_s, ratio) == (3.0, 1.0, 3.0)
+
+
 def test_flat_costs_cover_every_graph(bench_pair):
     costs = bench_pair.flat_kernel_costs(reps=1, calls=2)
     # every benchmark graph, the restricted-action ones included

@@ -81,12 +81,17 @@ EDGES = [0.0, 2.0 ** -53, 0.125, 0.125 - 2.0 ** -53, 0.25, 0.5, 0.625, 0.875,
 def test_log_and_trig_are_the_same_ieee_steps_on_every_machine():
     # vector and scalar IEEE-754 arithmetic round alike, so the numpy
     # kernels equal their steps replayed on Python floats bit for bit;
-    # a numpy or C-library transcendental in their place would not
+    # a numpy or C-library transcendental in their place would not. Bits
+    # are compared by .hex(), so a zero of the wrong sign counts
     u = draws.uniforms(draws.stream_key(5, 1), 0, 4000).tolist() + EDGES
     x = [1.0 - a for a in u]
-    assert draws.log(np.array(x)).tolist() == [reference_log(a) for a in x]
+    assert [y.hex() for y in draws.log(np.array(x)).tolist()] == [
+        reference_log(a).hex() for a in x]
     cos, sin = draws.cos_sin_2pi(np.array(u))
-    assert list(zip(cos.tolist(), sin.tolist())) == [reference_cos_sin_2pi(a) for a in u]
+    assert [(c.hex(), s.hex()) for c, s in zip(cos.tolist(), sin.tolist())] == [
+        (c.hex(), s.hex()) for c, s in map(reference_cos_sin_2pi, u)]
+    # the edges include sines of both signed zeros
+    assert {s.hex() for s in sin.tolist()} >= {"0x0.0p+0", "-0x0.0p+0"}
 
 
 def test_log_and_trig_stay_within_two_ulps():

@@ -452,8 +452,8 @@ class TestCompiledKernel:
         for h in graphs:
             forward, backward = _kernel_source(_build_schedule(h))
             for text in forward + backward:
-                # the header, the budget with its stores, and the final
-                # return, which no chunk reserves
+                # the header, the budget, which reserves the chunk's closing
+                # `T += (...)`, and the final return, which no chunk reserves
                 assert len(text.splitlines()) <= 2 + CHUNK_LINES
                 assert_integer_literals_only(text, ("f", "b"), name)
 

@@ -389,6 +389,31 @@ class TestRewardSampling:
         assert abs(values.mean() - lam) < 5 * math.sqrt(lam / n)
         assert abs(values.var(ddof=1) - lam) < 5 * math.sqrt((lam + 2 * lam ** 2) / n)
 
+    @pytest.mark.parametrize("lam", [0.1, 10.0, 700.0])
+    def test_poisson_draws_replay_inversion_from_exp(self, lam):
+        # the mass at 0 the environment computed when it was built is
+        # math.exp(-lam), so every draw equals inversion replayed from it
+        env = make_environment(Hypergraph(1, [2], [[0]]), [0.5, lam], ["poisson"], "unit")
+        rng = TrialDraws(3)
+        got = [sample_rewards(env, (1,), rng)[0] for _ in range(300)]
+        expected = []
+        for u in draws.uniforms(draws.stream_key(3, draws.REWARDS), 0, 300).tolist():
+            k, p = 0, math.exp(-lam)
+            cdf = p
+            while u > cdf and p:
+                k += 1
+                p *= lam / k
+                cdf += p
+            expected.append(float(k))
+        assert got == expected
+        assert env.zero_mass == (math.exp(-0.5), math.exp(-lam))
+
+    def test_zero_mass_only_for_poisson_groups(self):
+        env = make_environment(Hypergraph(3, [2, 2, 2], [[0], [1], [2]]),
+                               [0.5, 0.25, 3.0, 1.5, -800.0, 2.0],
+                               ["bernoulli", "poisson", "gaussian"], "mixed")
+        assert env.zero_mass == (0.0, 0.0, math.exp(-3.0), math.exp(-1.5), 0.0, 0.0)
+
     def test_rejects_invalid_assignment(self):
         env = chain_env(3, 2, "bernoulli")
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from mamab import draws
+from mamab import draws, policies
 from mamab.draws import TrialDraws
 from mamab.elimination import brute_argmax
 from mamab.hypergraph import Hypergraph
@@ -174,6 +174,35 @@ class TestUcbScores:
         cfg = PolicyConfig("ucb_baseline", ucb_range=1.0)
         with pytest.raises(ValueError):
             ucb_scores(stats, 0, cfg)
+
+    def test_table_gives_the_formula_bits_for_any_count(self, monkeypatch):
+        # hand-built counts far past t = 1: the table grows to the largest
+        # count met, or doubles, and every score keeps the closed
+        # formula's bits before and after each growth
+        monkeypatch.setattr(policies, "_UCB_DENOMINATORS", [])
+        cfg = PolicyConfig("ucb_baseline", ucb_range=1.5)
+
+        def closed(stats, t):
+            log_term = math.log(t * len(stats))
+            return [(m + 1.5 * math.sqrt(log_term / (2.0 * (n + 1)))).hex()
+                    for m, n in zip(stats.mu_hat, stats.n)]
+
+        small = LocalArmStats(n=[0, 1, 2, 7], mu_hat=[0.5, -0.25, 1e-3, 2.0])
+        doubling = LocalArmStats(n=[8, 3], mu_hat=[0.1, 0.2])
+        large = LocalArmStats(n=[0, 5, 999_999, 10 ** 6, 123_457],
+                              mu_hat=[0.0, 0.3, -0.7, 0.9, 1e6])
+        for stats, size in ((small, 8), (doubling, 16), (large, 10 ** 6 + 1)):
+            assert [x.hex() for x in ucb_scores(stats, 1, cfg)] == closed(stats, 1)
+            assert len(policies._UCB_DENOMINATORS) == size
+        for stats in (small, doubling, large):
+            for t in (1, 2, 10 ** 6):
+                assert [x.hex() for x in ucb_scores(stats, t, cfg)] == closed(stats, t)
+        assert len(policies._UCB_DENOMINATORS) == 10 ** 6 + 1
+
+    def test_negative_count_rejected(self):
+        # it would read the UCB table from its end
+        with pytest.raises(ValueError, match="pull counts"):
+            LocalArmStats(n=[3, -1], mu_hat=[0.0, 0.0])
 
 
 class TestSelectArm:

@@ -26,7 +26,10 @@ rounds use variable elimination, what the working tree's compiled VE
 kernel costs to build and how much faster it runs than the interpreter,
 with the graph's largest merged table; and for every benchmark graph,
 restricted-action ones included, the same for the compiled flat-index
-kernel against the loop it replaces.
+kernel against the loop it replaces. Each kernel and the path it
+replaces are timed in interleaved rounds, and the speedup is the median
+of the rounds' paired ratios, so a slow phase of a shared machine falls
+on both sides of a ratio.
 """
 
 from __future__ import annotations
@@ -153,6 +156,22 @@ def best_per_call(fn, inputs: list, reps: int) -> float:
     return best
 
 
+def paired_per_call(slow, fast, inputs: list, rounds: int) -> tuple[float, float, float]:
+    """Seconds per call of `slow` and of `fast` over `inputs`, timed in
+    `rounds` interleaved rounds whose first side alternates: the median
+    of each side's rounds and the median of the rounds' ratios slow/fast."""
+    fns = (slow, fast)
+    times = ([], [])
+    for r in range(rounds):
+        for side in (0, 1) if r % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            for x in inputs:
+                fns[side](x)
+            times[side].append((time.perf_counter() - start) / len(inputs))
+    ratios = [a / b for a, b in zip(*times)]
+    return statistics.median(times[0]), statistics.median(times[1]), statistics.median(ratios)
+
+
 def break_even(compile_s: float, slow_s: float, fast_s: float) -> float | None:
     """Calls after which a kernel has paid back its compile; None for a
     kernel no faster than the loop it replaces, which never does."""
@@ -172,12 +191,13 @@ def benchmark_graphs() -> dict:
     return graphs
 
 
-def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
+def ve_kernel_costs(reps: int = 15, calls: int = 200) -> dict:
     """Best-of-`reps` compile time of each VE-using benchmark graph's
     kernel, and time per call of the interpreter and of the kernel on
-    `calls` random score vectors, in the working tree, with the largest
-    merged table. Break-even calls are None for a graph whose kernel is
-    not faster."""
+    `calls` random score vectors in `reps` interleaved rounds (medians,
+    and the median paired ratio as `speedup`), in the working tree, with
+    the largest merged table. Break-even calls are None for a graph whose
+    kernel is not faster."""
     graphs = benchmark_graphs()
     from mamab import elimination
 
@@ -191,32 +211,33 @@ def ve_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
         compile_s = best_per_call(lambda _: elimination._compile_kernel(sched), [None], reps)
         rng = random.Random(0)
         vectors = [[rng.random() for _ in range(h.num_local_arms)] for _ in range(calls)]
-        interp = best_per_call(lambda s: elimination._interpret(sched, s), vectors, reps)
-        fast = best_per_call(kernel, vectors, reps)
+        interp, fast, speedup = paired_per_call(
+            lambda s: elimination._interpret(sched, s), kernel, vectors, reps)
         costs["graphs"][key] = {
             "compile_ms": compile_s * 1e3, "interpreted_us": interp * 1e6,
-            "kernel_us": fast * 1e6, "op_count": sched.op_count,
+            "kernel_us": fast * 1e6, "speedup": speedup, "op_count": sched.op_count,
             "max_merged": max(step.out_size * step.k for step in sched.steps),
             "break_even_calls": break_even(compile_s, interp, fast)}
     return costs
 
 
-def flat_kernel_costs(reps: int = 5, calls: int = 200) -> dict:
+def flat_kernel_costs(reps: int = 15, calls: int = 200) -> dict:
     """Best-of-`reps` compile time of every benchmark graph's flat-index
     kernel, and time per call of the loop and of the kernel on `calls`
-    random assignments, in the working tree. Break-even calls are None
-    for a graph whose kernel is not faster."""
+    random assignments in `reps` interleaved rounds (medians, and the
+    median paired ratio as `speedup`), in the working tree. Break-even
+    calls are None for a graph whose kernel is not faster."""
     costs = {}
     for key, (h, _) in benchmark_graphs().items():
         kernel = h._compile_flat()
         compile_s = best_per_call(lambda _: h._compile_flat(), [None], reps)
         rng = random.Random(0)
         assignments = [tuple(rng.randrange(k) for k in h.arm_counts) for _ in range(calls)]
-        loop = best_per_call(h._flat_loop, assignments, reps)
-        fast = best_per_call(kernel, assignments, reps)
+        loop, fast, speedup = paired_per_call(h._flat_loop, kernel, assignments, reps)
         costs[key] = {
             "compile_ms": compile_s * 1e3, "loop_us": loop * 1e6, "kernel_us": fast * 1e6,
-            "groups": h.num_groups, "break_even_calls": break_even(compile_s, loop, fast)}
+            "speedup": speedup, "groups": h.num_groups,
+            "break_even_calls": break_even(compile_s, loop, fast)}
     return costs
 
 
