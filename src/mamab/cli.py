@@ -550,7 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError:
             pass
         return 1
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

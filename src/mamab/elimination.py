@@ -23,7 +23,7 @@ cells. Once a graph has been argmaxed more than COMPILE_AFTER times, the
 schedule is emitted as loop-free Python source (one local per merged
 cell, one strict `>` per candidate arm, constant-index backtracking),
 compiled in chunks of about CHUNK_LINES lines, cut between any two
-output rows, and run instead, 4.7-10.7x faster on the benchmark graphs;
+output rows, and run instead, 4.5-10.1x faster on the benchmark graphs;
 every schedule compiles. Chunks carry by append, read by a position
 fixed at emit time: cells in `T`, maximizers in `G[j]`, arms in `A`. The
 interpreter stays the cold path and the reference: both add the same
@@ -436,12 +436,11 @@ def joint_totals(h: Hypergraph, scores: Sequence[float],
     return total.reshape(a_total)
 
 
-def brute_argmax(h: Hypergraph, scores: Sequence[float],
-                 cap: int = DEFAULT_BRUTE_CAP) -> EliminationResult:
+def brute_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     """Exhaustive-enumeration oracle for ve_argmax. Independent of the
     elimination code path: evaluates sum_e scores[a^e] for every joint
     assignment and keeps the first maximum (= smallest joint index)."""
-    total = joint_totals(h, scores, cap)
+    total = joint_totals(h, scores)
     best = int(np.argmax(total))
     return EliminationResult(h.decode_joint(best), float(total[best]),
                              h.num_joint_arms * h.num_groups)

@@ -145,19 +145,10 @@ class Environment:
     optimal_assignment: JointAssignment
     optimal_value: float
     name: str
-    candidates: Optional[RestrictedCandidates] = None
     # exp(-mean) of each local arm of a Poisson group, the mass at 0 its
     # inversion starts from; 0.0 for the other arms
-    zero_mass: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mass = [0.0] * len(self.means)
-        for e, fam in enumerate(self.families):
-            if fam == "poisson":
-                lo = self.graph.local_offsets[e]
-                for j in range(lo, lo + self.graph.group_sizes[e]):
-                    mass[j] = math.exp(-self.means[j])
-        object.__setattr__(self, "zero_mass", tuple(mass))
+    zero_mass: tuple[float, ...] = field(repr=False, compare=False)
+    candidates: Optional[RestrictedCandidates] = None
 
 
 def make_environment(graph: Hypergraph, means: Sequence[float],
@@ -175,6 +166,7 @@ def make_environment(graph: Hypergraph, means: Sequence[float],
     for fam in families:
         if fam not in FAMILIES:
             raise InvalidEnvironmentError(f"unknown reward family {fam!r}")
+    zero_mass = [0.0] * graph.num_local_arms
     for e in range(graph.num_groups):
         lo = graph.local_offsets[e]
         for j in range(lo, lo + graph.group_sizes[e]):
@@ -184,10 +176,12 @@ def make_environment(graph: Hypergraph, means: Sequence[float],
             if families[e] == "bernoulli" and not 0.0 <= mean <= 1.0:
                 raise InvalidEnvironmentError(
                     f"bernoulli mean {mean} at local arm {j} outside [0, 1]")
-            if families[e] == "poisson" and not 0.0 <= mean <= POISSON_MAX_MEAN:
-                raise InvalidEnvironmentError(
-                    f"poisson mean {mean} at local arm {j} outside "
-                    f"[0, {POISSON_MAX_MEAN:g}]")
+            if families[e] == "poisson":
+                if not 0.0 <= mean <= POISSON_MAX_MEAN:
+                    raise InvalidEnvironmentError(
+                        f"poisson mean {mean} at local arm {j} outside "
+                        f"[0, {POISSON_MAX_MEAN:g}]")
+                zero_mass[j] = math.exp(-mean)
 
     means = tuple(float(x) for x in means)
     if graph.num_joint_arms <= DEFAULT_BRUTE_CAP:
@@ -200,7 +194,7 @@ def make_environment(graph: Hypergraph, means: Sequence[float],
     opt_value = assignment_value(graph, means, opt_arms)
     return Environment(graph=graph, means=means, families=tuple(families),
                        optimal_assignment=opt_arms, optimal_value=opt_value,
-                       name=name, candidates=candidates)
+                       name=name, zero_mass=tuple(zero_mass), candidates=candidates)
 
 
 # ---------------------------------------------------------------------
@@ -255,18 +249,14 @@ def gem_mining_env(num_villages: int, rng: Random) -> Environment:
     num_mines = max(i + reach[i] for i in range(n))
     base_p = [rng.uniform(0.0, 0.5) for _ in range(num_mines)]
 
-    mine_members = []
-    mine_ids = []
-    for e in range(num_mines):
-        members = [i for i in range(n) if i <= e < i + reach[i]]
-        if members:
-            mine_members.append(members)
-            mine_ids.append(e)
+    # village min(e, n - 1) reaches mine e, so no mine is empty and mine e
+    # is group e
+    mine_members = [[i for i in range(n) if i <= e < i + reach[i]]
+                    for e in range(num_mines)]
     graph = Hypergraph(n, reach, mine_members)
 
     means = []
-    for g, members in enumerate(mine_members):
-        mine = mine_ids[g]
+    for mine, members in enumerate(mine_members):
         # the group's local arms in mixed-radix order
         for combo in itertools.product(*(range(reach[i]) for i in members)):
             w = sum(workers[i] for i, a in zip(members, combo) if i + a == mine)

@@ -27,8 +27,8 @@ JointAssignment = tuple[int, ...]
 # COMPILE_AFTER, CHUNK_LINES and `_load` are what the flat kernel here and
 # the VE kernel in `elimination` share. A graph used more than COMPILE_AFTER
 # times on one path compiles that path's kernel, which costs as much as
-# 44-143 VE interpreter or 26-53 flat loop calls on the benchmark graphs
-# (break-even calls, BENCH_compile_layer.json); set-up uses a graph once or twice
+# 45-77 VE interpreter or 19-31 flat loop calls on the benchmark graphs
+# (break-even calls, BENCH_lookup_tables.json); set-up uses a graph once or twice
 COMPILE_AFTER = 32
 # lines (flat kernel: groups) per compiled chunk function, which bounds the
 # compiler's memory
@@ -36,27 +36,7 @@ CHUNK_LINES = 120
 
 
 class HypergraphError(ValueError):
-    """Base class for invalid hypergraph construction input."""
-
-
-class EmptyGroupError(HypergraphError):
-    pass
-
-
-class DuplicateAgentError(HypergraphError):
-    pass
-
-
-class AgentOutOfRangeError(HypergraphError):
-    pass
-
-
-class UncoveredAgentError(HypergraphError):
-    pass
-
-
-class ZeroArmCountError(HypergraphError):
-    pass
+    """Invalid hypergraph construction input."""
 
 
 def _mixed_radix_weights(counts: Sequence[int]) -> tuple[int, ...]:
@@ -109,27 +89,27 @@ class Hypergraph:
                 f"arm_counts has length {len(arm_counts)}, expected {num_agents}")
         for i, k in enumerate(arm_counts):
             if k < 1:
-                raise ZeroArmCountError(f"agent {i} has arm count {k}")
+                raise HypergraphError(f"agent {i} has arm count {k}")
 
         covered = [False] * num_agents
         norm_groups = []
         for e, group in enumerate(groups):
             members = tuple(group)
             if not members:
-                raise EmptyGroupError(f"group {e} is empty")
+                raise HypergraphError(f"group {e} is empty")
             seen = set()
             for i in members:
                 if not 0 <= i < num_agents:
-                    raise AgentOutOfRangeError(
+                    raise HypergraphError(
                         f"group {e} contains agent {i}, valid range is [0, {num_agents})")
                 if i in seen:
-                    raise DuplicateAgentError(f"group {e} lists agent {i} twice")
+                    raise HypergraphError(f"group {e} lists agent {i} twice")
                 seen.add(i)
                 covered[i] = True
             norm_groups.append(members)
         missing = [i for i, c in enumerate(covered) if not c]
         if missing:
-            raise UncoveredAgentError(
+            raise HypergraphError(
                 f"agents {missing} belong to no group; their arms could never "
                 f"affect the reward")
 

@@ -515,7 +515,9 @@ class TestMainCommands:
         err = capsys.readouterr().err
         assert f"error: table file {table}: line 4: unknown directive 'bogus'" in err
 
-    def test_broken_pipe_exits_quietly(self, monkeypatch, capsys):
+    def test_broken_pipe_exits_quietly(self, capsys, monkeypatch):
+        # capsys first, so monkeypatch restores sys.stdout before capsys
+        # closes the stream it captured into
         class ClosedPipe:
             def write(self, text):
                 raise BrokenPipeError

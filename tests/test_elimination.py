@@ -91,9 +91,10 @@ class TestBruteForce:
         assert res.value == 8.0
 
     def test_cap_enforced(self):
-        h = Hypergraph(8, [2] * 8, chain_groups(8, 2))
+        h = Hypergraph(21, [2] * 21, chain_groups(21, 2))
+        assert h.num_joint_arms == 2 * DEFAULT_BRUTE_CAP
         with pytest.raises(ValueError, match="cap"):
-            brute_argmax(h, [0.0] * h.num_local_arms, cap=255)
+            brute_argmax(h, [0.0] * h.num_local_arms)
 
     def test_length_mismatch(self):
         h = Hypergraph(2, [2, 2], [[0, 1]])

@@ -137,6 +137,21 @@ class TestGemMining:
                 expected = min(1.0, 1.03 ** (w - 1) * base_p[e]) if w else 0.0
                 assert env.means[j] == expected
 
+    def test_mine_e_is_group_e(self):
+        # the last village reaches mines n-1..n+2, so with reach >= 2 every
+        # mine has a village and no group is dropped or renumbered
+        for n in range(2, 61):
+            for seed in range(3):
+                g = gem_mining_env(n, random.Random(seed)).graph
+                rep = random.Random(seed)
+                for _ in range(n):
+                    rep.randint(1, 5)  # the worker counts come first
+                reach = [rep.randint(2, 4) for _ in range(n - 1)] + [4]
+                assert g.num_groups == n + 3
+                for e, members in enumerate(g.groups):
+                    assert members
+                    assert members == tuple(i for i in range(n) if i <= e < i + reach[i])
+
     def test_seeded_generation_bit_deterministic(self):
         a = gem_mining_env(6, random.Random(2024))
         b = gem_mining_env(6, random.Random(2024))
