@@ -42,15 +42,32 @@ allocating the column that crosses the cap, so a schedule's cell maps
 take at most 8 MiB (8 bytes an entry).
 
 `brute_argmax` is the independent oracle: full enumeration of the joint
-space, each assignment's scores added in group order. Both break ties
-toward the smallest mixed-radix joint index, and they agree
-assignment-for-assignment whenever the sums are exact (small integers,
-say). VE adds the same scores in another order, so under rounding two
-assignments that tie in one order can differ by an ulp in the other:
-VE may then return a larger joint index, or an assignment whose
-group-order sum lies an ulp below the brute maximum. Both maximizers
-and the restricted candidate set check their scores with
-`_checked_scores` and return an `EliminationResult`.
+space, each assignment's scores added in group order. `_joint_blocks`
+adds the groups in order into a partial table over a prefix of the
+agents (C order, one axis per agent), which starts with as many agents
+as fit in _TILE cells; a group holding a later agent grows it with the
+same add, which writes partial + score to each arm of the new agents.
+Each cell still goes through exactly fl(...fl(fl(0.0 + s_0) + s_1)... +
+s_{rho-1}), the bits `assignment_value` gives, but early groups are added
+over small tables: a 2^20-arm chain costs about two tables' worth of
+adds, not one pass over the joint table per group. On a table of over
+_TILE cells, a group whose scores repeat within fewer than _TILE cells
+is added as a contiguous pattern of at least _TILE rows, one add per arm
+of the new agents. Fixing the leading agents' arms cuts the joint index
+into blocks of at most BRUTE_BLOCK cells. `brute_argmax` keeps the first
+maximum within a block (`np.argmax`) and across blocks (a strict >), the
+smallest joint index, and holds a table and the one it grows into, about
+1.5 blocks, never the joint table; `joint_totals` writes the blocks into
+one array of the joint space, for `mamab oracle` and the tests.
+
+VE and the brute oracle both break ties toward the smallest mixed-radix
+joint index, and they agree assignment-for-assignment whenever the sums
+are exact (small integers, say). VE adds the same scores in another
+order, so under rounding two assignments that tie in one order can
+differ by an ulp in the other: VE may then return a larger joint index,
+or an assignment whose group-order sum lies an ulp below the brute
+maximum. Both maximizers and the restricted candidate set check their
+scores with `_checked_scores` and return an `EliminationResult`.
 
 Operation counting: `op_count` is the number of factor-table cells read
 while merging (each consumed factor contributes its size exactly once).
@@ -59,15 +76,17 @@ totals 1.5x the local-arm count, independent of the number of agents.
 For hypergraphs whose merged scopes outgrow the original groups the
 count can exceed the local-arm count. The count depends only on the
 structure, not on the scores. For the brute oracle it is (joint arms) x
-(groups), one cell per group per enumerated assignment.
+(groups), one cell per group per enumerated assignment: the logical count,
+which the prefix sums do not change although they make fewer adds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +94,12 @@ from .hypergraph import (CHUNK_LINES, COMPILE_AFTER, Hypergraph, JointAssignment
                          _load, _mixed_radix_weights)
 
 DEFAULT_BRUTE_CAP = 1 << 20
+# cells of one block of the brute oracle's joint index
+BRUTE_BLOCK = 1 << 17
+# cells of a brute-oracle table too small to grow, and the fewest rows a
+# tiled add takes: numpy adds over a 2- or 4-cell inner axis several times
+# slower than over a long one
+_TILE = 1024
 
 
 class EliminationResult(NamedTuple):
@@ -411,39 +436,123 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     return EliminationResult(arms, value, sched.op_count)
 
 
+def _joint_blocks(h: Hypergraph, scores: Sequence[float],
+                  cap: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first joint index, totals) for each block of the joint index, in
+    index order, each total sum_e scores[a^e] added in group order from
+    0.0 by the prefix sums the module docstring describes. The scores are
+    checked as `ve_argmax` checks them, and a joint space over `cap`
+    assignments is refused before anything is allocated."""
+    s = np.asarray(_checked_scores(scores, h.num_local_arms), dtype=np.float64)
+    if h.num_joint_arms > cap:
+        raise ValueError(
+            f"joint arm space has {h.num_joint_arms} assignments, exceeding the oracle "
+            f"cap {cap}")
+    # one axis per agent, in agent order (C order over the axes is the joint
+    # order), with its members' strides in the group's slice of the scores
+    counts, groups, weights = h.arm_counts, h.groups, h.group_weights
+    if len(counts) >= 32:
+        # numpy before 2.0 allows 32 axes; a graph this large has a joint
+        # space the oracle can enumerate only if many agents have one arm,
+        # and a single-arm agent gets no axis
+        wide = [i for i, k in enumerate(counts) if k > 1]
+        axis = dict(zip(wide, range(len(wide))))
+        counts = tuple(counts[i] for i in wide)
+        groups = [[axis[i] for i in members if i in axis] for members in groups]
+        weights = [[w for i, w in zip(members, ws) if i in axis]
+                   for members, ws in zip(h.groups, weights)]
+    lead, block = 0, h.num_joint_arms      # a block fixes axes 0 .. lead - 1
+    while block > BRUTE_BLOCK:
+        block //= counts[lead]
+        lead += 1
+    # the partial table is over axes lead .. last, in C order; it starts
+    # over as many axes as fit in _TILE cells
+    last, size = len(counts) - 1, block
+    while size > _TILE:
+        size //= counts[last]
+        last -= 1
+    base = size
+    steps = []
+    for members, ws, offset in zip(groups, weights, h.local_offsets):
+        top = max((last, *members))
+        first = max(lead, min((last + 1, *members)))
+        grow = math.prod(counts[last + 1:top + 1]) if top > last else 1
+        # the group's scores repeat along the partial table every `rows`
+        # cells (of axes first .. last); a table of over _TILE cells takes
+        # a period shorter than _TILE as a contiguous pattern of at least
+        # _TILE rows, as no add should run over a short inner axis
+        tiled = False
+        if size > _TILE:
+            rows = math.prod(counts[first:last + 1])
+            tiled = rows < _TILE
+            while rows < _TILE:
+                first -= 1
+                rows *= counts[first]
+        strides = [0] * (top + 1 - first)
+        fixed = []         # (axis, byte stride) of the members a block fixes
+        for i, w in zip(members, ws):
+            if i >= first:
+                strides[i - first] = 8 * w
+            else:
+                fixed.append((i, 8 * w))
+        if not tiled:
+            # the partial table's shape against the scores' view
+            rows = (-1, *counts[first:last + 1]) + (1,) * (top - last)
+        steps.append((counts[first:top + 1], 8 * offset, strides, fixed, grow, tiled, rows))
+        last = top
+        size *= grow
+    for b, arms in enumerate(itertools.product(*map(range, counts[:lead]))):
+        partial = np.zeros(base)
+        for shape, offset, strides, fixed, grow, tiled, rows in steps:
+            for i, w in fixed:
+                offset += arms[i] * w
+            view = np.ndarray(shape, np.float64, s, offset, strides)
+            if tiled:
+                # one add of the whole partial table per arms of the axes
+                # the group brings in, into the cells with those arms
+                pattern = np.ascontiguousarray(view).reshape(rows, grow)
+                grown = np.empty(partial.size * grow) if grow > 1 else partial
+                cells = grown.reshape(-1, rows, grow)
+                partial = partial.reshape(-1, rows)
+                for a in range(grow):
+                    np.add(partial, pattern[:, a], out=cells[:, :, a])
+                partial = grown
+            else:
+                partial = partial.reshape(rows)
+                partial = np.add(partial, view, out=None if grow > 1 else partial, order="C")
+        yield b * block, partial.reshape(block)
+
+
 def joint_totals(h: Hypergraph, scores: Sequence[float],
                  cap: int = DEFAULT_BRUTE_CAP) -> np.ndarray:
     """sum_e scores[a^e] for every joint assignment, indexed by the
-    mixed-radix joint index. Materializes the full joint space. The
-    scores are checked as `ve_argmax` checks them."""
-    s = np.asarray(_checked_scores(scores, h.num_local_arms), dtype=np.float64)
-    a_total = h.num_joint_arms
-    if a_total > cap:
-        raise ValueError(
-            f"joint arm space has {a_total} assignments, exceeding the oracle "
-            f"cap {cap}")
-    # C order over one axis per agent, in agent order, is the joint order; a
-    # single-arm agent gets no axis, keeping within numpy's dimension limit
-    wide = [i for i, k in enumerate(h.arm_counts) if k > 1]
-    total = np.zeros([h.arm_counts[i] for i in wide])
-    for e, members in enumerate(h.groups):
-        kept = [i for i in members if h.arm_counts[i] > 1]
-        table = s[h.local_offsets[e]:h.local_offsets[e] + h.group_sizes[e]]
-        # the group's slice is in C order over its listed members
-        table = table.reshape([h.arm_counts[i] for i in kept])
-        table = table.transpose(sorted(range(len(kept)), key=kept.__getitem__))
-        total += table.reshape([h.arm_counts[i] if i in kept else 1 for i in wide])
-    return total.reshape(a_total)
+    mixed-radix joint index: each total is added in group order from 0.0,
+    bitwise `assignment_value`'s. Materializes the full joint space, into
+    which the blocks of the prefix sums (module docstring) are written.
+    The scores are checked as `ve_argmax` checks them; a joint space over
+    `cap` assignments is refused before anything is allocated."""
+    totals = np.empty(h.num_joint_arms)
+    for start, block in _joint_blocks(h, scores, cap):
+        totals[start:start + block.size] = block
+    return totals
 
 
 def brute_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     """Exhaustive-enumeration oracle for ve_argmax. Independent of the
-    elimination code path: evaluates sum_e scores[a^e] for every joint
-    assignment and keeps the first maximum (= smallest joint index)."""
-    total = joint_totals(h, scores)
-    best = int(np.argmax(total))
-    return EliminationResult(h.decode_joint(best), float(total[best]),
-                             h.num_joint_arms * h.num_groups)
+    elimination code path: evaluates sum_e scores[a^e] in group order for
+    every joint assignment, block by block as prefix sums (module
+    docstring), and keeps the first maximum (= smallest joint index):
+    `np.argmax` within a block, a strict > across blocks. It never holds
+    the joint table. A joint space over DEFAULT_BRUTE_CAP assignments is
+    refused before anything is allocated. `op_count` is the logical
+    count, joint arms x groups."""
+    best = value = None
+    for start, block in _joint_blocks(h, scores, DEFAULT_BRUTE_CAP):
+        i = int(block.argmax())
+        if best is None or block[i] > value:
+            best, value = start + i, float(block[i])
+        del block          # freed before the next block is summed
+    return EliminationResult(h.decode_joint(best), value, h.num_joint_arms * h.num_groups)
 
 
 def assignment_value(h: Hypergraph, scores: Sequence[float],

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,66 @@ class TestBruteForce:
         h = Hypergraph(3, [2, 2, 2], [[0, 1], [1, 2]])
         res = brute_argmax(h, [0.0] * h.num_local_arms)
         assert res.op_count == 8 * 2
+
+    def test_tie_across_blocks_keeps_the_smaller_index(self):
+        # agent 0 is indifferent and every other agent prefers arm 0 but
+        # the last, which prefers arm 1: exactly (0, ..., 0, 1) and
+        # (1, 0, ..., 0, 1) reach 18, one in each of the two blocks
+        h = Hypergraph(18, [2] * 18, [[i] for i in range(18)])
+        assert block_starts(h) == [0, elimination.BRUTE_BLOCK]
+        scores = [1.0, 1.0] + [1.0, 0.0] * 16 + [0.0, 1.0]
+        res = brute_argmax(h, scores)
+        assert res.argmax == (0,) * 17 + (1,)
+        assert res.value == 18.0
+        assert res.op_count == h.num_joint_arms * 18
+
+    def test_tie_in_blocks_2_and_5_keeps_block_2(self, monkeypatch):
+        # blocks of 8 cells fix agents 0-2: the group over them scores 5
+        # at (0, 1, 0), block 2, and at (1, 0, 1), block 5
+        monkeypatch.setattr(elimination, "BRUTE_BLOCK", 8)
+        h = Hypergraph(6, [2] * 6, [[3], [0, 1, 2], [4, 5]])
+        assert block_starts(h) == list(range(0, 64, 8))
+        group = [0.0] * 8
+        group[0b010] = group[0b101] = 5.0
+        scores = [0.0, 1.0] + group + [0.0, 0.0, 2.0, 0.0]
+        res = brute_argmax(h, scores)
+        assert res.argmax == (0, 1, 0, 1, 1, 0)
+        assert res.value == 8.0
+
+    def test_maximum_only_in_the_last_block(self):
+        # each chain group scores 1 at (1, 1) only: all ones, the last joint
+        # index, is the one maximum
+        h = Hypergraph(18, [2] * 18, chain_groups(18, 2))
+        res = brute_argmax(h, [0.0, 0.0, 0.0, 1.0] * 17)
+        assert res.argmax == (1,) * 18
+        assert res.value == 17.0
+
+    def test_maximum_only_in_the_last_of_eight_blocks(self, monkeypatch):
+        monkeypatch.setattr(elimination, "BRUTE_BLOCK", 8)
+        h = Hypergraph(6, [2] * 6, chain_groups(6, 3))
+        rng = random.Random(5)
+        for _ in range(20):
+            scores = [float(rng.randint(-4, 0)) for _ in range(h.num_local_arms)]
+            # a bonus at (1, 1, 1) of the first group puts the optimum in block 7
+            scores[7] = 50.0
+            res = brute_argmax(h, scores)
+            assert res.argmax[:3] == (1, 1, 1)
+            assert res.argmax == exhaustive_argmax(h, scores)[0]
+            assert res.value == exhaustive_argmax(h, scores)[1]
+
+    def test_chain20_peak_memory_below_2_mib(self):
+        # the joint table alone would take 8 MiB
+        env = chain_env(20, 2, "bernoulli")
+        means = list(env.means)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            res = brute_argmax(env.graph, means)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.argmax == env.optimal_assignment
+        assert peak < 2 * 2 ** 20
 
 
 class TestOracleEquivalence:
@@ -251,26 +312,86 @@ class TestNumericEdgeCases:
                 maximizer(h, scores)
 
 
+def mixed_scores(rng, n):
+    """Scores whose group-order sums depend on the order of the adds:
+    -0.0 (0.0 + -0.0 is 0.0), small integers and magnitudes from 1e-12
+    to 1e12."""
+    out = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.2:
+            out.append(-0.0)
+        elif r < 0.3:
+            out.append(0.0)
+        elif r < 0.5:
+            out.append(float(rng.randint(-3, 3)))
+        else:
+            out.append(rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-12, 12))
+    return out
+
+
+def block_starts(h):
+    return [start for start, _ in elimination._joint_blocks(
+        h, [0.0] * h.num_local_arms, DEFAULT_BRUTE_CAP)]
+
+
 class TestJointTotalsLayout:
-    """joint_totals lays the joint space out as one numpy axis per agent;
-    every cell must hold exactly the ascending-group sum that
+    """joint_totals lays the joint space out in mixed-radix order; every
+    cell must hold bit for bit the ascending-group sum from 0.0 that
     assignment_value computes for the assignment at that joint index."""
 
     def check_layout(self, h, scores):
         totals = joint_totals(h, scores)
         assert totals.shape == (h.num_joint_arms,)
         for j, arms in enumerate(enumerate_joint(h)):
-            assert totals[j] == assignment_value(h, scores, arms)
+            assert totals[j].hex() == assignment_value(h, scores, arms).hex()
 
     def test_random_hypergraphs(self):
-        # shuffled members, single-arm agents and mixed arm counts
+        # shuffled members, single-arm agents and mixed arm counts; tables
+        # of over 1,024 cells take the tiled adds
         rng = random.Random(4242)
         for _ in range(60):
             h = random_hypergraph(rng, max_agents=7, max_arms=4)
             if h.num_joint_arms > 4096:
                 continue
-            scores = [rng.gauss(0.0, 1.0) for _ in range(h.num_local_arms)]
-            self.check_layout(h, scores)
+            self.check_layout(h, [rng.gauss(0.0, 1.0) for _ in range(h.num_local_arms)])
+            self.check_layout(h, mixed_scores(rng, h.num_local_arms))
+
+    def test_signed_zero_sums_start_from_zero(self):
+        # every score -0.0: each total is 0.0 + -0.0 + ... = 0.0
+        h = Hypergraph(3, [2, 3, 2], [[0, 1], [2, 1], [0]])
+        totals = joint_totals(h, [-0.0] * h.num_local_arms)
+        assert {t.hex() for t in totals} == {(0.0).hex()}
+        self.check_layout(h, [-0.0] * h.num_local_arms)
+
+    def test_blocks_of_64_cells(self, monkeypatch):
+        # agents 0 and 1 are fixed in each of 6 blocks of 24 cells, the cut
+        # splits groups [3, 1] and [1, 2, 5], and agents 2 and 5 have one arm
+        monkeypatch.setattr(elimination, "BRUTE_BLOCK", 64)
+        h = Hypergraph(8, [2, 3, 1, 2, 2, 1, 3, 2],
+                       [[3, 1], [0, 4, 2], [5, 6], [7, 6, 3], [0], [4, 7], [1, 2, 5]])
+        assert block_starts(h) == list(range(0, 144, 24))
+        rng = random.Random(64)
+        for _ in range(20):
+            self.check_layout(h, mixed_scores(rng, h.num_local_arms))
+
+    def test_tiled_adds_across_blocks(self, monkeypatch):
+        # blocks of at most 64 cells, and tables of over 8 cells tiled
+        monkeypatch.setattr(elimination, "BRUTE_BLOCK", 64)
+        monkeypatch.setattr(elimination, "_TILE", 8)
+        rng = random.Random(8)
+        blocks = 0
+        for _ in range(60):
+            h = random_hypergraph(rng, max_agents=7, max_arms=4)
+            if h.num_joint_arms > 4096:
+                continue
+            blocks = max(blocks, len(block_starts(h)))
+            self.check_layout(h, mixed_scores(rng, h.num_local_arms))
+        for d in (2, 3):
+            h = Hypergraph(10, [2] * 10, chain_groups(10, d))
+            assert len(block_starts(h)) == 16
+            self.check_layout(h, mixed_scores(rng, h.num_local_arms))
+        assert blocks > 8
 
     def test_many_single_arm_agents(self):
         # more axes than numpy allows, unless the single-arm agents get none
