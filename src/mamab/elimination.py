@@ -44,18 +44,19 @@ take at most 8 MiB (8 bytes an entry).
 `brute_argmax` is the independent oracle: full enumeration of the joint
 space, each assignment's scores added in group order. `_joint_blocks`
 adds the groups in order into a partial table over a prefix of the
-agents (C order, one axis per agent), which starts with as many agents
-as fit in _TILE cells; a group holding a later agent grows it with the
-same add, which writes partial + score to each arm of the new agents.
-Each cell still goes through exactly fl(...fl(fl(0.0 + s_0) + s_1)... +
-s_{rho-1}), the bits `assignment_value` gives, but early groups are added
-over small tables: a 2^20-arm chain costs about two tables' worth of
-adds, not one pass over the joint table per group. On a table of over
-_TILE cells, a group whose scores repeat within fewer than _TILE cells
-is added as a contiguous pattern of at least _TILE rows, one add per arm
-of the new agents. Fixing the leading agents' arms cuts the joint index
-into blocks of at most BRUTE_BLOCK cells. `brute_argmax` keeps the first
-maximum within a block (`np.argmax`) and across blocks (a strict >), the
+agents (C order, one axis per agent with more than one arm), which
+starts with as many agents as fit in _TILE cells; a group holding a
+later agent grows it with the same add, which writes partial + score to
+each arm of the new agents. Each cell still goes through exactly
+fl(...fl(fl(0.0 + s_0) + s_1)... + s_{rho-1}), the bits
+`assignment_value` gives, but early groups are added over small tables:
+a 2^20-arm chain costs about two tables' worth of adds, not one pass
+over the joint table per group. On a table of over _TILE cells, a group
+whose scores repeat within fewer than _TILE cells is added as a
+contiguous pattern of at least _TILE rows, one add per arm of the new
+agents. Fixing the leading agents' arms cuts the joint index into blocks
+of at most BRUTE_BLOCK cells. `brute_argmax` keeps the first maximum
+within a block (`np.argmax`) and across blocks (a strict >), the
 smallest joint index, and holds a table and the one it grows into, about
 1.5 blocks, never the joint table; `joint_totals` writes the blocks into
 one array of the joint space, for `mamab oracle` and the tests.
@@ -438,29 +439,22 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
 
 def _joint_blocks(h: Hypergraph, scores: Sequence[float],
                   cap: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first joint index, totals) for each block of the joint index, in
-    index order, each total sum_e scores[a^e] added in group order from
-    0.0 by the prefix sums the module docstring describes. The scores are
-    checked as `ve_argmax` checks them, and a joint space over `cap`
-    assignments is refused before anything is allocated."""
+    """An iterator of (first joint index, totals) over the blocks of the
+    joint index, in index order. The scores are checked, and a joint space
+    over `cap` assignments refused, when this is called, before anything
+    is allocated."""
     s = np.asarray(_checked_scores(scores, h.num_local_arms), dtype=np.float64)
     if h.num_joint_arms > cap:
         raise ValueError(
             f"joint arm space has {h.num_joint_arms} assignments, exceeding the oracle "
             f"cap {cap}")
-    # one axis per agent, in agent order (C order over the axes is the joint
-    # order), with its members' strides in the group's slice of the scores
-    counts, groups, weights = h.arm_counts, h.groups, h.group_weights
-    if len(counts) >= 32:
-        # numpy before 2.0 allows 32 axes; a graph this large has a joint
-        # space the oracle can enumerate only if many agents have one arm,
-        # and a single-arm agent gets no axis
-        wide = [i for i, k in enumerate(counts) if k > 1]
-        axis = dict(zip(wide, range(len(wide))))
-        counts = tuple(counts[i] for i in wide)
-        groups = [[axis[i] for i in members if i in axis] for members in groups]
-        weights = [[w for i, w in zip(members, ws) if i in axis]
-                   for members, ws in zip(h.groups, weights)]
+    # one axis per agent with more than one arm, in agent order (C order over
+    # the axes is the joint order); axis[i] is agent i's, -1 if it has one arm
+    axis, counts = [], []
+    for k in h.arm_counts:
+        axis.append(len(counts) if k > 1 else -1)
+        if k > 1:
+            counts.append(k)
     lead, block = 0, h.num_joint_arms      # a block fixes axes 0 .. lead - 1
     while block > BRUTE_BLOCK:
         block //= counts[lead]
@@ -473,9 +467,10 @@ def _joint_blocks(h: Hypergraph, scores: Sequence[float],
         last -= 1
     base = size
     steps = []
-    for members, ws, offset in zip(groups, weights, h.local_offsets):
-        top = max((last, *members))
-        first = max(lead, min((last + 1, *members)))
+    for members, ws, offset in zip(h.groups, h.group_weights, h.local_offsets):
+        kept = [a for i in members if (a := axis[i]) >= 0]
+        top = max((last, *kept))
+        first = max(lead, min((last + 1, *kept)))
         grow = math.prod(counts[last + 1:top + 1]) if top > last else 1
         # the group's scores repeat along the partial table every `rows`
         # cells (of axes first .. last); a table of over _TILE cells takes
@@ -491,17 +486,23 @@ def _joint_blocks(h: Hypergraph, scores: Sequence[float],
         strides = [0] * (top + 1 - first)
         fixed = []         # (axis, byte stride) of the members a block fixes
         for i, w in zip(members, ws):
-            if i >= first:
-                strides[i - first] = 8 * w
-            else:
-                fixed.append((i, 8 * w))
+            a = axis[i]
+            if a >= first:
+                strides[a - first] = 8 * w
+            elif a >= 0:
+                fixed.append((a, 8 * w))
         if not tiled:
             # the partial table's shape against the scores' view
             rows = (-1, *counts[first:last + 1]) + (1,) * (top - last)
         steps.append((counts[first:top + 1], 8 * offset, strides, fixed, grow, tiled, rows))
         last = top
         size *= grow
-    for b, arms in enumerate(itertools.product(*map(range, counts[:lead]))):
+    return _summed_blocks(s, counts[:lead], block, base, steps)
+
+
+def _summed_blocks(s: np.ndarray, lead_counts: list[int], block: int,
+                   base: int, steps: list) -> Iterator[tuple[int, np.ndarray]]:
+    for b, arms in enumerate(itertools.product(*map(range, lead_counts))):
         partial = np.zeros(base)
         for shape, offset, strides, fixed, grow, tiled, rows in steps:
             for i, w in fixed:
@@ -526,13 +527,13 @@ def _joint_blocks(h: Hypergraph, scores: Sequence[float],
 def joint_totals(h: Hypergraph, scores: Sequence[float],
                  cap: int = DEFAULT_BRUTE_CAP) -> np.ndarray:
     """sum_e scores[a^e] for every joint assignment, indexed by the
-    mixed-radix joint index: each total is added in group order from 0.0,
-    bitwise `assignment_value`'s. Materializes the full joint space, into
-    which the blocks of the prefix sums (module docstring) are written.
-    The scores are checked as `ve_argmax` checks them; a joint space over
-    `cap` assignments is refused before anything is allocated."""
+    mixed-radix joint index, each bitwise `assignment_value`'s.
+    Materializes the full joint space. The scores are checked as
+    `ve_argmax` checks them; a joint space over `cap` assignments is
+    refused before anything is allocated."""
+    blocks = _joint_blocks(h, scores, cap)
     totals = np.empty(h.num_joint_arms)
-    for start, block in _joint_blocks(h, scores, cap):
+    for start, block in blocks:
         totals[start:start + block.size] = block
     return totals
 
@@ -540,12 +541,10 @@ def joint_totals(h: Hypergraph, scores: Sequence[float],
 def brute_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     """Exhaustive-enumeration oracle for ve_argmax. Independent of the
     elimination code path: evaluates sum_e scores[a^e] in group order for
-    every joint assignment, block by block as prefix sums (module
-    docstring), and keeps the first maximum (= smallest joint index):
-    `np.argmax` within a block, a strict > across blocks. It never holds
-    the joint table. A joint space over DEFAULT_BRUTE_CAP assignments is
-    refused before anything is allocated. `op_count` is the logical
-    count, joint arms x groups."""
+    every joint assignment and keeps the first maximum (= smallest joint
+    index). Holds one block, never the joint table. A joint space over
+    DEFAULT_BRUTE_CAP assignments is refused before anything is
+    allocated. `op_count` is the logical count, joint arms x groups."""
     best = value = None
     for start, block in _joint_blocks(h, scores, DEFAULT_BRUTE_CAP):
         i = int(block.argmax())

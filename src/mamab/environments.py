@@ -352,10 +352,9 @@ def sample_rewards(env: Environment, arms: Sequence[int],
 
 
 def regret_at(env: Environment, flat: Sequence[int]) -> float:
-    means = env.means
     total = 0.0
     for j in flat:
-        total += means[j]
+        total += env.means[j]
     return env.optimal_value - total
 
 

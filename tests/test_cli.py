@@ -537,6 +537,15 @@ class TestMainCommands:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_oracle_refuses_a_2_40_arm_chain_cleanly(self, capsys):
+        # the environment is built through VE; the oracle listing must be
+        # refused by the cap, not by an 8 TiB allocation
+        rc = main(["oracle", "--set", "env=bernoulli_chain", "--set", "m=40",
+                   "--set", "d=2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "cap" in err
+
     def test_sample_config_parses(self):
         cfg = parse_config("sample_configs/bernoulli_m10.cfg")
         assert cfg.horizon == 10000

@@ -97,6 +97,22 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="cap"):
             brute_argmax(h, [0.0] * h.num_local_arms)
 
+    def test_cap_refused_before_any_allocation(self):
+        # the 2^40-cell table would take 8 TiB; the refusal comes when the
+        # blocks are asked for, not when the first one is summed
+        h = Hypergraph(40, [2] * 40, chain_groups(40, 2))
+        scores = [0.0] * h.num_local_arms
+        with pytest.raises(ValueError, match="cap"):
+            elimination._joint_blocks(h, scores, DEFAULT_BRUTE_CAP)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                joint_totals(h, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_length_mismatch(self):
         h = Hypergraph(2, [2, 2], [[0, 1]])
         with pytest.raises(ValueError, match="length"):
