@@ -462,15 +462,15 @@ def _cmd_oracle(args) -> int:
     env = parse_config(args.config, args.set, need_policy=False).env
     graph = env.graph
     if env.candidates is None:
-        totals = joint_totals(graph, list(env.means), cap=args.max_joint)
+        totals = joint_totals(graph, list(env.means))
         playable = enumerate_joint(graph)
         gaps = (float(totals.max()) - totals).tolist()
     else:
         # a restricted-action environment can play its candidates only
-        if env.candidates.size > args.max_joint:
+        if env.candidates.size > DEFAULT_BRUTE_CAP:
             raise ValueError(
                 f"candidate set has {env.candidates.size} assignments, exceeding "
-                f"the oracle cap {args.max_joint}")
+                f"the oracle cap {DEFAULT_BRUTE_CAP}")
         playable = list(env.candidates)
         gaps = [pseudo_regret(env, arms) for arms in playable]
     suboptimal = [g for g in gaps if g > 0]
@@ -532,8 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="print the exhaustive optimum and gap table")
     common(p_oracle, policy=False)
-    p_oracle.add_argument("--max-joint", type=int, default=DEFAULT_BRUTE_CAP,
-                          help="refuse joint spaces larger than this")
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -42,24 +42,27 @@ allocating the column that crosses the cap, so a schedule's cell maps
 take at most 8 MiB (8 bytes an entry).
 
 `brute_argmax` is the independent oracle: full enumeration of the joint
-space, each assignment's scores added in group order. `_joint_blocks`
-adds the groups in order into a partial table over a prefix of the
-agents (C order, one axis per agent with more than one arm), which
-starts with as many agents as fit in _TILE cells; a group holding a
-later agent grows it with the same add, which writes partial + score to
-each arm of the new agents. Each cell still goes through exactly
-fl(...fl(fl(0.0 + s_0) + s_1)... + s_{rho-1}), the bits
-`assignment_value` gives, but early groups are added over small tables:
-a 2^20-arm chain costs about two tables' worth of adds, not one pass
-over the joint table per group. On a table of over _TILE cells, a group
-whose scores repeat within fewer than _TILE cells is added as a
-contiguous pattern of at least _TILE rows, one add per arm of the new
-agents. Fixing the leading agents' arms cuts the joint index into blocks
-of at most BRUTE_BLOCK cells. `brute_argmax` keeps the first maximum
-within a block (`np.argmax`) and across blocks (a strict >), the
-smallest joint index, and holds a table and the one it grows into, about
-1.5 blocks, never the joint table; `joint_totals` writes the blocks into
-one array of the joint space, for `mamab oracle` and the tests.
+space, each assignment's scores added in group order. Fixing leading
+agents' arms cuts the joint index into blocks; an agent is fixed only
+while the block it leaves holds at least BRUTE_BLOCK cells, so one agent
+with many arms is never cut into tiny blocks. `_joint_blocks` adds the
+groups in order into a partial table over the free agents seen so far,
+one axis per agent with more than one arm, highest agent slowest,
+starting from a zero cell; every score is read in place through a
+strided view of the score vector. A group that holds a later agent grows
+the table by numpy's leading-axis broadcast, which writes partial +
+score to each arm of the new agents, so every group is one add, and its
+inner loop runs over the long stride-0 run of the earlier agents. Each
+cell still goes through exactly fl(...fl(fl(0.0 + s_0) + s_1)... +
+s_{rho-1}), the bits `assignment_value` gives, but early groups are
+added over small tables: a 2^20-arm chain costs about two tables' worth
+of adds, not one pass over the joint table per group. Within a block,
+memory order is the reverse of joint order, so `brute_argmax` converts
+the memory positions of a block's maxima to joint indices and keeps the
+smallest, and takes a later block's maximum only if strictly greater;
+it holds about two blocks, never the joint table. `joint_totals` writes
+each block, transposed, into one array of the joint space, for `mamab
+oracle` and the tests.
 
 VE and the brute oracle both break ties toward the smallest mixed-radix
 joint index, and they agree assignment-for-assignment whenever the sums
@@ -95,12 +98,9 @@ from .hypergraph import (CHUNK_LINES, COMPILE_AFTER, Hypergraph, JointAssignment
                          _load, _mixed_radix_weights)
 
 DEFAULT_BRUTE_CAP = 1 << 20
-# cells of one block of the brute oracle's joint index
+# the fewest cells a block of the brute oracle's joint index keeps when
+# it fixes an agent's arm
 BRUTE_BLOCK = 1 << 17
-# cells of a brute-oracle table too small to grow, and the fewest rows a
-# tiled add takes: numpy adds over a 2- or 4-cell inner axis several times
-# slower than over a long one
-_TILE = 1024
 
 
 class EliminationResult(NamedTuple):
@@ -437,104 +437,70 @@ def ve_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     return EliminationResult(arms, value, sched.op_count)
 
 
-def _joint_blocks(h: Hypergraph, scores: Sequence[float],
-                  cap: int) -> Iterator[tuple[int, np.ndarray]]:
+def _joint_blocks(h: Hypergraph, scores: Sequence[float]) -> Iterator[tuple[int, np.ndarray]]:
     """An iterator of (first joint index, totals) over the blocks of the
-    joint index, in index order. The scores are checked, and a joint space
-    over `cap` assignments refused, when this is called, before anything
-    is allocated."""
+    joint index, in index order; a block's axes run from its highest agent
+    to its lowest, so `block.T` is in joint order. The scores are checked,
+    and a joint space over DEFAULT_BRUTE_CAP assignments refused, when this
+    is called, before anything is allocated."""
     s = np.asarray(_checked_scores(scores, h.num_local_arms), dtype=np.float64)
-    if h.num_joint_arms > cap:
+    if h.num_joint_arms > DEFAULT_BRUTE_CAP:
         raise ValueError(
             f"joint arm space has {h.num_joint_arms} assignments, exceeding the oracle "
-            f"cap {cap}")
-    # one axis per agent with more than one arm, in agent order (C order over
-    # the axes is the joint order); axis[i] is agent i's, -1 if it has one arm
+            f"cap {DEFAULT_BRUTE_CAP}")
+    # one axis per agent with more than one arm, in agent order; axis[i] is
+    # agent i's, -1 if it has one arm
     axis, counts = [], []
     for k in h.arm_counts:
         axis.append(len(counts) if k > 1 else -1)
         if k > 1:
             counts.append(k)
-    lead, block = 0, h.num_joint_arms      # a block fixes axes 0 .. lead - 1
-    while block > BRUTE_BLOCK:
+    # a block fixes axes 0 .. lead - 1, each while the block keeps BRUTE_BLOCK cells
+    lead, block = 0, h.num_joint_arms
+    while lead < len(counts) and block // counts[lead] >= BRUTE_BLOCK:
         block //= counts[lead]
         lead += 1
-    # the partial table is over axes lead .. last, in C order; it starts
-    # over as many axes as fit in _TILE cells
-    last, size = len(counts) - 1, block
-    while size > _TILE:
-        size //= counts[last]
-        last -= 1
-    base = size
+    last = lead - 1        # the partial table is over axes last, last - 1, .. lead
     steps = []
     for members, ws, offset in zip(h.groups, h.group_weights, h.local_offsets):
-        kept = [a for i in members if (a := axis[i]) >= 0]
-        top = max((last, *kept))
-        first = max(lead, min((last + 1, *kept)))
-        grow = math.prod(counts[last + 1:top + 1]) if top > last else 1
-        # the group's scores repeat along the partial table every `rows`
-        # cells (of axes first .. last); a table of over _TILE cells takes
-        # a period shorter than _TILE as a contiguous pattern of at least
-        # _TILE rows, as no add should run over a short inner axis
-        tiled = False
-        if size > _TILE:
-            rows = math.prod(counts[first:last + 1])
-            tiled = rows < _TILE
-            while rows < _TILE:
-                first -= 1
-                rows *= counts[first]
-        strides = [0] * (top + 1 - first)
+        last = max(last, *map(axis.__getitem__, members))
+        strides = [0] * (last + 1 - lead)
         fixed = []         # (axis, byte stride) of the members a block fixes
         for i, w in zip(members, ws):
             a = axis[i]
-            if a >= first:
-                strides[a - first] = 8 * w
+            if a >= lead:
+                strides[last - a] = 8 * w
             elif a >= 0:
                 fixed.append((a, 8 * w))
-        if not tiled:
-            # the partial table's shape against the scores' view
-            rows = (-1, *counts[first:last + 1]) + (1,) * (top - last)
-        steps.append((counts[first:top + 1], 8 * offset, strides, fixed, grow, tiled, rows))
-        last = top
-        size *= grow
-    return _summed_blocks(s, counts[:lead], block, base, steps)
+        steps.append((tuple(counts[lead:last + 1][::-1]), 8 * offset, strides, fixed))
+    return _summed_blocks(s, counts[:lead], block, steps)
 
 
 def _summed_blocks(s: np.ndarray, lead_counts: list[int], block: int,
-                   base: int, steps: list) -> Iterator[tuple[int, np.ndarray]]:
+                   steps: list) -> Iterator[tuple[int, np.ndarray]]:
     for b, arms in enumerate(itertools.product(*map(range, lead_counts))):
-        partial = np.zeros(base)
-        for shape, offset, strides, fixed, grow, tiled, rows in steps:
-            for i, w in fixed:
-                offset += arms[i] * w
+        partial = np.zeros(1)
+        for shape, offset, strides, fixed in steps:
+            for a, w in fixed:
+                offset += arms[a] * w
             view = np.ndarray(shape, np.float64, s, offset, strides)
-            if tiled:
-                # one add of the whole partial table per arms of the axes
-                # the group brings in, into the cells with those arms
-                pattern = np.ascontiguousarray(view).reshape(rows, grow)
-                grown = np.empty(partial.size * grow) if grow > 1 else partial
-                cells = grown.reshape(-1, rows, grow)
-                partial = partial.reshape(-1, rows)
-                for a in range(grow):
-                    np.add(partial, pattern[:, a], out=cells[:, :, a])
-                partial = grown
-            else:
-                partial = partial.reshape(rows)
-                partial = np.add(partial, view, out=None if grow > 1 else partial, order="C")
-        yield b * block, partial.reshape(block)
+            # without order="C" numpy lays a grown table out after the
+            # view's strides, and the adds run about 20 times slower
+            partial = np.add(partial, view, out=partial if partial.shape == shape else None,
+                             order="C")
+        yield b * block, partial
 
 
-def joint_totals(h: Hypergraph, scores: Sequence[float],
-                 cap: int = DEFAULT_BRUTE_CAP) -> np.ndarray:
+def joint_totals(h: Hypergraph, scores: Sequence[float]) -> np.ndarray:
     """sum_e scores[a^e] for every joint assignment, indexed by the
     mixed-radix joint index, each bitwise `assignment_value`'s.
     Materializes the full joint space. The scores are checked as
-    `ve_argmax` checks them; a joint space over `cap` assignments is
-    refused before anything is allocated."""
-    blocks = _joint_blocks(h, scores, cap)
+    `ve_argmax` checks them; a joint space over DEFAULT_BRUTE_CAP
+    assignments is refused before anything is allocated."""
+    blocks = _joint_blocks(h, scores)
     totals = np.empty(h.num_joint_arms)
     for start, block in blocks:
-        totals[start:start + block.size] = block
+        totals[start:start + block.size].reshape(block.shape[::-1])[...] = block.T
     return totals
 
 
@@ -542,14 +508,17 @@ def brute_argmax(h: Hypergraph, scores: Sequence[float]) -> EliminationResult:
     """Exhaustive-enumeration oracle for ve_argmax. Independent of the
     elimination code path: evaluates sum_e scores[a^e] in group order for
     every joint assignment and keeps the first maximum (= smallest joint
-    index). Holds one block, never the joint table. A joint space over
-    DEFAULT_BRUTE_CAP assignments is refused before anything is
+    index). Holds about two blocks, never the joint table. A joint space
+    over DEFAULT_BRUTE_CAP assignments is refused before anything is
     allocated. `op_count` is the logical count, joint arms x groups."""
     best = value = None
-    for start, block in _joint_blocks(h, scores, DEFAULT_BRUTE_CAP):
-        i = int(block.argmax())
-        if best is None or block[i] > value:
-            best, value = start + i, float(block[i])
+    for start, block in _joint_blocks(h, scores):
+        top = block.max()
+        if best is None or top > value:
+            # the smallest joint index among the block's maxima
+            cells = np.unravel_index(np.flatnonzero(block == top), block.shape)
+            best = start + int(np.ravel_multi_index(cells[::-1], block.shape[::-1]).min())
+            value = float(top)
         del block          # freed before the next block is summed
     return EliminationResult(h.decode_joint(best), value, h.num_joint_arms * h.num_groups)
 

@@ -478,8 +478,10 @@ class TestMainCommands:
         rows = out.split("arm,delta\n", 1)[1].strip().splitlines()
         assert rows == ["0 0,0.000000", "1 1,1.000000", "1 2,1.000000",
                         "2 1,1.000000", "2 2,1.000000"]
-        assert main(args + ["--max-joint", "4"]) == 1
-        assert "candidate set has 5 assignments" in capsys.readouterr().err
+        # L^rho + 1 = 1,048,577 candidates, one over the oracle cap
+        assert main(["oracle", "--set", "env=lower_bound", "--set", "rho=2",
+                     "--set", "L=1024"]) == 1
+        assert "candidate set has 1048577 assignments" in capsys.readouterr().err
 
     def test_oracle_needs_no_run_keys(self, capsys):
         # nothing runs, so T, trials and seed may be left out
@@ -531,9 +533,10 @@ class TestMainCommands:
         assert capsys.readouterr().err == ""
 
     def test_oracle_respects_cap(self, capsys):
-        rc = main(["oracle", "--set", "env=bernoulli_chain", "--set", "m=12",
+        # 2^21 joint arms, twice the oracle cap
+        rc = main(["oracle", "--set", "env=bernoulli_chain", "--set", "m=21",
                    "--set", "d=2", "--set", "T=1", "--set", "trials=1",
-                   "--set", "seed=0", "--max-joint", "1000"])
+                   "--set", "seed=0"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 

@@ -12,7 +12,7 @@ from mamab import elimination
 from mamab.elimination import (
     CHUNK_LINES, COMPILE_AFTER, DEFAULT_BRUTE_CAP, _build_schedule, _compile_kernel,
     _interpret, _kernel_source, assignment_value, brute_argmax, joint_totals, ve_argmax)
-from mamab.environments import chain_env, gem_mining_env
+from mamab.environments import chain_env, gem_mining_env, lower_bound_env
 from mamab.hypergraph import Hypergraph, enumerate_joint
 
 from test_hypergraph import assert_integer_literals_only, chain_groups, random_hypergraph
@@ -103,7 +103,7 @@ class TestBruteForce:
         h = Hypergraph(40, [2] * 40, chain_groups(40, 2))
         scores = [0.0] * h.num_local_arms
         with pytest.raises(ValueError, match="cap"):
-            elimination._joint_blocks(h, scores, DEFAULT_BRUTE_CAP)
+            elimination._joint_blocks(h, scores)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cap"):
@@ -170,6 +170,18 @@ class TestBruteForce:
             assert res.argmax[:3] == (1, 1, 1)
             assert res.argmax == exhaustive_argmax(h, scores)[0]
             assert res.value == exhaustive_argmax(h, scores)[1]
+
+    def test_one_many_armed_agent_is_one_block(self):
+        # 2^17 + 1 arms: fixing the agent would leave blocks of one cell
+        env = lower_bound_env(1, 2 ** 17, 3.5, 0.5)
+        assert block_starts(env.graph) == [0]
+        assert env.optimal_assignment == (0,)
+
+    def test_tie_within_a_block_keeps_the_smaller_index(self):
+        # (0, 1) and (1, 0) tie; in a block's memory, highest agent slowest,
+        # (1, 0) comes first
+        h = Hypergraph(2, [2, 2], [[0, 1]])
+        assert brute_argmax(h, [0.0, 5.0, 5.0, 0.0]).argmax == (0, 1)
 
     def test_chain20_peak_memory_below_2_mib(self):
         # the joint table alone would take 8 MiB
@@ -347,8 +359,7 @@ def mixed_scores(rng, n):
 
 
 def block_starts(h):
-    return [start for start, _ in elimination._joint_blocks(
-        h, [0.0] * h.num_local_arms, DEFAULT_BRUTE_CAP)]
+    return [start for start, _ in elimination._joint_blocks(h, [0.0] * h.num_local_arms)]
 
 
 class TestJointTotalsLayout:
@@ -363,8 +374,7 @@ class TestJointTotalsLayout:
             assert totals[j].hex() == assignment_value(h, scores, arms).hex()
 
     def test_random_hypergraphs(self):
-        # shuffled members, single-arm agents and mixed arm counts; tables
-        # of over 1,024 cells take the tiled adds
+        # shuffled members, single-arm agents and mixed arm counts
         rng = random.Random(4242)
         for _ in range(60):
             h = random_hypergraph(rng, max_agents=7, max_arms=4)
@@ -380,10 +390,11 @@ class TestJointTotalsLayout:
         assert {t.hex() for t in totals} == {(0.0).hex()}
         self.check_layout(h, [-0.0] * h.num_local_arms)
 
-    def test_blocks_of_64_cells(self, monkeypatch):
-        # agents 0 and 1 are fixed in each of 6 blocks of 24 cells, the cut
-        # splits groups [3, 1] and [1, 2, 5], and agents 2 and 5 have one arm
-        monkeypatch.setattr(elimination, "BRUTE_BLOCK", 64)
+    def test_six_blocks_of_24_cells(self, monkeypatch):
+        # blocks of at least 16 cells: agents 0 and 1 are fixed in each of 6
+        # blocks of 24 cells, the cut splits groups [3, 1] and [1, 2, 5],
+        # and agents 2 and 5 have one arm
+        monkeypatch.setattr(elimination, "BRUTE_BLOCK", 16)
         h = Hypergraph(8, [2, 3, 1, 2, 2, 1, 3, 2],
                        [[3, 1], [0, 4, 2], [5, 6], [7, 6, 3], [0], [4, 7], [1, 2, 5]])
         assert block_starts(h) == list(range(0, 144, 24))
@@ -391,10 +402,9 @@ class TestJointTotalsLayout:
         for _ in range(20):
             self.check_layout(h, mixed_scores(rng, h.num_local_arms))
 
-    def test_tiled_adds_across_blocks(self, monkeypatch):
-        # blocks of at most 64 cells, and tables of over 8 cells tiled
-        monkeypatch.setattr(elimination, "BRUTE_BLOCK", 64)
-        monkeypatch.setattr(elimination, "_TILE", 8)
+    def test_random_graphs_across_blocks(self, monkeypatch):
+        # blocks of at least 16 cells
+        monkeypatch.setattr(elimination, "BRUTE_BLOCK", 16)
         rng = random.Random(8)
         blocks = 0
         for _ in range(60):
@@ -405,7 +415,7 @@ class TestJointTotalsLayout:
             self.check_layout(h, mixed_scores(rng, h.num_local_arms))
         for d in (2, 3):
             h = Hypergraph(10, [2] * 10, chain_groups(10, d))
-            assert len(block_starts(h)) == 16
+            assert len(block_starts(h)) == 64
             self.check_layout(h, mixed_scores(rng, h.num_local_arms))
         assert blocks > 8
 
