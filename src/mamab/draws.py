@@ -11,7 +11,8 @@ its address alone: not on the block that computed it, on the other
 purposes' streams, or on the other trials of a run.
 
 Streams are computed in numpy blocks that grow from FIRST_BLOCK entries
-to BLOCK_CAP and are read as Python lists. The hash mixes only uint64
+to BLOCK_CAP and are read as Python lists; a wide trial reads its score
+normals and gate passes as slices of the same blocks. The hash mixes only uint64
 arrays and Python ints (numpy wraps arrays silently but warns on scalar
 overflow). Logarithms, cosines and sines come from ``log`` and
 ``cos_sin_2pi`` below, which use only exact steps (frexp, rint, scaling
@@ -105,7 +106,7 @@ def log(x: np.ndarray) -> np.ndarray:
     [sqrt(1/2), sqrt(2)), log x = e log 2 + 2 atanh((m - 1) / (m + 1))."""
     m, e = np.frexp(x)
     low = m < SQRT_HALF
-    m[low] *= 2.0
+    m = np.where(low, m * 2.0, m)
     e -= low
     t = (m - 1.0) / (m + 1.0)
     return e * LN2 + 2.0 * t * _horner(ATANH, t * t)
@@ -121,11 +122,15 @@ def cos_sin_2pi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x2 = x * x
     s = x * _horner(SIN, x2)
     c = _horner(COS, x2)
-    turns = q.astype(np.int64) & 3
-    return np.choose(turns, (c, -s, -c, s)), np.choose(turns, (s, c, -s, -c))
+    turns = q.astype(np.int64)
+    # quarter turn q & 3 maps (c, s) to (c, s), (-s, c), (-c, -s), (s, -c):
+    # an odd turn swaps them, and the signs are exact factors of +-1
+    odd = (turns & 1).astype(bool)
+    return (np.where(odd, s, c) * (1.0 - ((turns + 1) & 2)),
+            np.where(odd, c, s) * (1.0 - (turns & 2)))
 
 
-def normals(key: int, start: int, n: int) -> list[float]:
+def normal_array(key: int, start: int, n: int) -> np.ndarray:
     """Normals at indices start .. start + n - 1, made pairwise from the
     uniform pairs that cover them."""
     first = start - start % 2
@@ -135,7 +140,11 @@ def normals(key: int, start: int, n: int) -> list[float]:
     z = np.empty(len(u))
     np.multiply(r, cos, out=z[0::2])
     np.multiply(r, sin, out=z[1::2])
-    return z[start - first:start - first + n].tolist()
+    return z[start - first:start - first + n]
+
+
+def normals(key: int, start: int, n: int) -> list[float]:
+    return normal_array(key, start, n).tolist()
 
 
 def gaps(u: np.ndarray, scale: float) -> np.ndarray:
@@ -160,25 +169,33 @@ def _blocks(key: int, make):
 
 
 class _Stream:
-    """One purpose's values, read in order, a slice at a time."""
+    """One purpose's values, read in order, a slice at a time: lists, or
+    float64 arrays when `make` gives arrays and `array` is set."""
 
-    def __init__(self, key: int, make):
+    def __init__(self, key: int, make, array: bool = False):
         self.blocks = _blocks(key, make)
-        self.buf = []
+        self.buf = np.empty(0) if array else []
         self.pos = 0
 
-    def take(self, n: int) -> list:
+    def take(self, n: int):
         """The next n values."""
         pos = self.pos
         end = pos + n
         if end > len(self.buf):
             buf = self.buf[pos:]
             while len(buf) < n:
-                buf += next(self.blocks)
+                if type(buf) is list:
+                    buf += next(self.blocks)
+                else:
+                    buf = np.concatenate((buf, next(self.blocks)))
             self.buf = buf
             pos, end = 0, n
         self.pos = end
         return self.buf[pos:end]
+
+
+_NO_PASSES = np.empty(0, dtype=np.int64)
+_NO_PASSES.setflags(write=False)
 
 
 class TrialDraws:
@@ -188,23 +205,32 @@ class TrialDraws:
     normals (pass k takes normal k), `rewards` and `reward_normals` one
     slice of len(groups) a round, `choices` the uniforms behind the
     random policy and candidate sampling, and the gates their gap
-    uniforms.
+    uniforms. A `wide` trial reads its score normals and gate passes as
+    numpy arrays, cut from the same blocks: the same values at the same
+    addresses.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, wide: bool = False):
         self.seed = seed
-        self.scores = _Stream(stream_key(seed, SCORES), normals)
+        self.wide = wide
+        self.scores = _Stream(stream_key(seed, SCORES), normal_array if wide else normals,
+                              array=wide)
         self.rewards = _Stream(stream_key(seed, REWARDS), uniform_list)
         self.reward_normals = _Stream(stream_key(seed, REWARD_NORMALS), normals)
         self.choices = _Stream(stream_key(seed, CHOICES), uniform_list)
         self.gate = None          # the trial's (eps, width), once drawn
-        self.gaps = None          # its gate gaps, in order
+        self.gaps = None          # its gate gaps, in order (in blocks when wide)
         self.next_pass = 0        # slot of the next pass, from the next row's start
+        # wide: pass slots from `start`, the next row's first slot, where
+        # slots[lo - 1] is the last pass (or -1) before slots[lo]
+        self.slots = np.array([-1], dtype=np.int64)
+        self.lo = 1
+        self.start = 0
 
-    def passes(self, eps: float, width: int) -> list[int]:
+    def passes(self, eps: float, width: int):
         """Offsets j in [0, width) of the next row of `width` slots whose
-        gate passes with probability eps. A trial keeps one eps and one
-        width."""
+        gate passes with probability eps, ascending: a list, or an int64
+        array when wide. A trial keeps one eps and one width."""
         if self.gate != (eps, width):
             if self.gate is not None:
                 raise ValueError(f"this trial's gates were drawn at epsilon {self.gate[0]} "
@@ -212,13 +238,16 @@ class TrialDraws:
             self.gate = (eps, width)
             if eps == 0.0:
                 self.next_pass = math.inf     # no gate ever passes
-                return []
+                return _NO_PASSES if self.wide else []
             scale = -math.inf if eps == 1.0 else math.log1p(-eps)
-            self.gaps = chain.from_iterable(_blocks(
-                stream_key(self.seed, GATES),
-                lambda key, start, n: gaps(uniforms(key, start, n), scale).tolist()))
-            # pass k lies at slot s_k = s_(k-1) + gap_k, with s_0 = -1
-            self.next_pass = next(self.gaps) - 1
+            self.gaps = _blocks(stream_key(self.seed, GATES),
+                                lambda key, start, n: gaps(uniforms(key, start, n), scale))
+            if not self.wide:
+                self.gaps = chain.from_iterable(map(np.ndarray.tolist, self.gaps))
+                # pass k lies at slot s_k = s_(k-1) + gap_k, with s_0 = -1
+                self.next_pass = next(self.gaps) - 1
+        if self.wide:
+            return self._pass_array(width) if self.gaps is not None else _NO_PASSES
         s = self.next_pass
         row = []
         while s < width:
@@ -226,3 +255,17 @@ class TrialDraws:
             s += next(self.gaps)
         self.next_pass = s - width
         return row
+
+    def _pass_array(self, width: int) -> np.ndarray:
+        slots, lo, start = self.slots, self.lo, self.start
+        end = start + width
+        while slots[-1] < end:
+            # rebase on the row's start and place the next block of gaps
+            # after the last known pass; the base stays below `width` and a
+            # block of MAX_GAP gaps below 2**62, so no slot overflows
+            known = slots[lo - 1:] - start
+            slots = np.concatenate((known, known[-1] + np.cumsum(next(self.gaps))))
+            lo, start, end = 1, 0, width
+        hi = int(slots.searchsorted(end))
+        self.slots, self.lo, self.start = slots, hi, end
+        return slots[lo:hi] - start

@@ -21,11 +21,14 @@ Range errors from the builders name the parameter by its config key.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .draws import TrialDraws
 from .elimination import (DEFAULT_BRUTE_CAP, EliminationResult, _checked_scores,
@@ -85,6 +88,12 @@ class RestrictedCandidates:
     num_decoys: int
     optimal: JointAssignment
 
+    def __post_init__(self):
+        # group e's arms are slots e (L + 1) .. e (L + 1) + L
+        step = self.num_decoys + 1
+        if self.offsets != tuple(range(0, len(self.offsets) * step, step)):
+            raise ValueError(f"offsets {self.offsets} are not multiples of {step} from 0")
+
     @property
     def size(self) -> int:
         return self.num_decoys ** len(self.offsets) + 1
@@ -93,10 +102,17 @@ class RestrictedCandidates:
         yield self.optimal
         yield from itertools.product(range(1, self.num_decoys + 1), repeat=len(self.offsets))
 
-    def argmax(self, scores: Sequence[float]) -> EliminationResult:
-        """The best candidate, its value and the score cells read."""
+    def argmax(self, scores: Sequence[float] | np.ndarray) -> EliminationResult:
+        """The best candidate, its value and the score cells read. An array
+        of scores whose largest magnitude times their count is finite
+        bounds every total, so it is taken as it is (see `_array_argmax`);
+        any other input is checked by `_checked_scores`."""
         num_decoys = self.num_decoys
-        scores = _checked_scores(scores, len(self.offsets) * (num_decoys + 1))
+        size = len(self.offsets) * (num_decoys + 1)
+        if (type(scores) is np.ndarray and len(scores) == size
+                and math.isfinite(float(np.abs(scores).max()) * size)):
+            return self._array_argmax(scores)
+        scores = _checked_scores(scores, size)
         opt_total = 0.0
         sub_total = 0.0
         sub_arms = []
@@ -112,6 +128,30 @@ class RestrictedCandidates:
         if not num_decoys or sub_total <= opt_total:
             return EliminationResult(self.optimal, opt_total, ops)
         return EliminationResult(tuple(sub_arms), sub_total, ops)
+
+    def _array_argmax(self, scores: np.ndarray) -> EliminationResult:
+        """`argmax` on an array: group e's arms are row e of a
+        (groups, num_decoys + 1) view, whose first maxima (argmax's, the
+        smallest decoy) and totals, summed in group order as Python
+        floats, are the list scan's."""
+        num_decoys = self.num_decoys
+        rows = scores.reshape(len(self.offsets), num_decoys + 1)
+        opt_total = 0.0
+        for x in rows[:, 0].tolist():
+            opt_total += x
+        if not num_decoys:
+            return EliminationResult(self.optimal, opt_total, scores.size)
+        arms = rows[:, 1:].argmax(axis=1) + 1
+        sub_total = 0.0
+        for x in scores[arms + self._offset_array].tolist():
+            sub_total += x
+        if sub_total <= opt_total:
+            return EliminationResult(self.optimal, opt_total, scores.size)
+        return EliminationResult(tuple(arms.tolist()), sub_total, scores.size)
+
+    @functools.cached_property
+    def _offset_array(self) -> np.ndarray:
+        return np.array(self.offsets)
 
     def sample(self, rng: TrialDraws) -> JointAssignment:
         """Uniform draw over the candidate list, of any size. With B = 53k

@@ -24,7 +24,8 @@ import numpy as np
 
 from .draws import TrialDraws
 from .environments import Environment, regret_at, sample_rewards_at
-from .policies import LocalArmStats, PolicyConfig, WorkTally, select_arm, update_stats_at
+from .policies import (LocalArmStats, PolicyConfig, WorkTally, select_arm, update_stats_at,
+                       wide_rows)
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,13 @@ def _rounds(env: Environment, cfg: PolicyConfig, horizon: int, seed: int,
             tally: Optional[WorkTally] = None):
     """The round loop: select, index, yield (t, arms, flat) to the caller,
     then draw the rewards and update. A caller that stops iterating skips
-    that round's reward draw. The layer functions are looked up as module
-    globals on every round, so a profiler can wrap them."""
+    that round's reward draw. The trial's stats layout is chosen once, by
+    `wide_rows`. The layer functions are looked up as module globals on
+    every round, so a profiler can wrap them."""
     graph = env.graph
-    rng = TrialDraws(seed)
-    stats = LocalArmStats.fresh(graph.num_local_arms)
+    wide = wide_rows(cfg, graph.num_local_arms)
+    rng = TrialDraws(seed, wide)
+    stats = LocalArmStats.fresh(graph.num_local_arms, wide)
     candidates = env.candidates
     for t in range(1, horizon + 1):
         arms = select_arm(graph, stats, cfg, t, rng, tally, candidates)

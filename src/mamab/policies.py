@@ -22,19 +22,36 @@ score normal k. So a round costs one normal per pass plus a copy of the
 means, and the cost falls with epsilon. The random policy takes one
 choice uniform u per agent and plays floor(u * K_i). This makes every
 run reproducible from (config, seed) alone.
+
+Stats come in two layouts, chosen once per trial by ``wide_rows``. A
+trial whose rows draw at least WIDE_ROW scores on average (A_loc under
+ucb_baseline and eps_mats at epsilon 1, epsilon * A_loc otherwise) is
+wide: its counts and means are int64 and float64 numpy arrays, a score
+row is one array expression over them (or over the gate passes), and
+the update is one scatter. Other trials keep Python lists, whose
+per-slot loops cost less on short rows. Both give the same bits: IEEE
+sums, products, quotients and square roots round alike element by
+element. WIDE_ROW is the crossover that ``tools/bench_pair.py
+--row-costs`` measured for one whole round (score row, argmax hand-off,
+update): 77-102 scores a row on a 2-vCPU machine, rounded up to 128.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .draws import TrialDraws
 from .elimination import ve_argmax
 from .hypergraph import Hypergraph, JointAssignment, validate_assignment
 
 POLICY_KINDS = ("eps_mats", "ucb_baseline", "random")
+
+# scores a row from which a trial's stats are numpy arrays (module docstring)
+WIDE_ROW = 128
 
 
 @dataclass(frozen=True)
@@ -71,18 +88,25 @@ class PolicyConfig:
 @dataclass
 class LocalArmStats:
     """Pull counts and empirical means per flat local arm. This is the
-    entire mutable state a policy carries between rounds."""
+    entire mutable state a policy carries between rounds. They are lists,
+    or in the wide layout an int64 and a float64 numpy array."""
 
-    n: list[int]
-    mu_hat: list[float]
+    n: list[int] | np.ndarray
+    mu_hat: list[float] | np.ndarray
+    wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.wide = type(self.mu_hat) is np.ndarray
         # a negative count would index the UCB table from its end
-        if min(self.n, default=0) < 0:
-            raise ValueError(f"pull counts must be >= 0, got {min(self.n)}")
+        low = int(self.n.min(initial=0)) if self.wide else min(self.n, default=0)
+        if low < 0:
+            raise ValueError(f"pull counts must be >= 0, got {low}")
 
     @classmethod
-    def fresh(cls, num_local_arms: int) -> "LocalArmStats":
+    def fresh(cls, num_local_arms: int, wide: bool = False) -> "LocalArmStats":
+        if wide:
+            return cls(n=np.zeros(num_local_arms, dtype=np.int64),
+                       mu_hat=np.zeros(num_local_arms))
         return cls(n=[0] * num_local_arms, mu_hat=[0.0] * num_local_arms)
 
     def __len__(self) -> int:
@@ -97,14 +121,42 @@ class WorkTally:
     argmax_ops: int = 0
 
 
+def wide_rows(cfg: PolicyConfig, width: int) -> bool:
+    """Whether a trial of rows of `width` slots draws at least WIDE_ROW
+    scores a row on average: width under ucb_baseline and eps_mats at
+    epsilon 1, epsilon * width under eps_mats, none under random."""
+    if cfg.kind == "random":
+        per_row = 0.0
+    elif cfg.kind == "ucb_baseline" or cfg.epsilon == 1.0:
+        per_row = width
+    else:
+        per_row = cfg.epsilon * width
+    return per_row >= WIDE_ROW
+
+
 def sample_scores(stats: LocalArmStats, cfg: PolicyConfig, rng: TrialDraws,
-                  tally: Optional[WorkTally] = None) -> list[float]:
+                  tally: Optional[WorkTally] = None) -> list[float] | np.ndarray:
     """Score vector for eps_mats: a copy of mu_hat in which each slot
     whose gate passes holds mu_hat[j] + sqrt(c / (n[j] + 1)) * z, with z
-    the pass's normal. At epsilon = 1 every slot passes."""
+    the pass's normal. At epsilon = 1 every slot passes. Wide stats give
+    an array of the same bits (a wide `rng` gives the normals and passes
+    as arrays)."""
     mu = stats.mu_hat
     n = stats.n
     c = cfg.c
+    if stats.wide:
+        if cfg.epsilon == 1.0:
+            scores = mu + np.sqrt(c / (n + 1)) * rng.scores.take(len(mu))
+            draws = len(mu)
+        else:
+            scores = mu.copy()
+            passes = rng.passes(cfg.epsilon, len(mu))
+            scores[passes] = (mu[passes] + np.sqrt(c / (n[passes] + 1))
+                              * rng.scores.take(len(passes)))
+            draws = len(passes)
+        if tally is not None:
+            tally.gaussian_draws += draws
+        return scores
     sqrt = math.sqrt
     if cfg.epsilon == 1.0:
         scores = [m + sqrt(c / (nj + 1)) * x
@@ -128,17 +180,20 @@ def sample_scores(stats: LocalArmStats, cfg: PolicyConfig, rng: TrialDraws,
 _UCB_DENOMINATORS: list[float] = []
 
 
-def ucb_scores(stats: LocalArmStats, t: int, cfg: PolicyConfig) -> list[float]:
+def ucb_scores(stats: LocalArmStats, t: int, cfg: PolicyConfig) -> list[float] | np.ndarray:
     """Optimistic score per local arm:
     mu_hat[j] + ucb_range * sqrt(ln(t * A_loc) / (2 * (n[j] + 1))),
     the denominator read from ``_UCB_DENOMINATORS``. A count past the
     table's end grows it to cover that count and at least doubles it.
+    Wide stats give an array of the same bits, computing the denominator.
     """
     global _UCB_DENOMINATORS
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     scale = cfg.ucb_range
     log_term = math.log(t * len(stats))
+    if stats.wide:
+        return stats.mu_hat + scale * np.sqrt(log_term / (2.0 * (stats.n + 1)))
     sqrt = math.sqrt
     while True:
         den = _UCB_DENOMINATORS
@@ -170,7 +225,10 @@ def select_arm(h: Hypergraph, stats: LocalArmStats, cfg: PolicyConfig, t: int,
         scores = sample_scores(stats, cfg, rng, tally)
     else:
         scores = ucb_scores(stats, t, cfg)
-    res = ve_argmax(h, scores) if candidates is None else candidates.argmax(scores)
+    if candidates is not None:
+        res = candidates.argmax(scores)
+    else:
+        res = ve_argmax(h, scores.tolist() if stats.wide else scores)
     if tally is not None:
         tally.argmax_ops += res.op_count
     return res.argmax
@@ -194,6 +252,14 @@ def update_stats_at(stats: LocalArmStats, flat: Sequence[int],
                     rewards: Sequence[float]) -> LocalArmStats:
     n = stats.n
     mu = stats.mu_hat
+    if stats.wide:
+        # a round's flat indices never repeat, so one scatter is the loop
+        j = np.array(flat)
+        nj = n[j]
+        n1 = nj + 1
+        mu[j] = (nj * mu[j] + rewards) / n1
+        n[j] = n1
+        return stats
     for j, r in zip(flat, rewards):
         nj = n[j]
         mu[j] = (nj * mu[j] + r) / (nj + 1)

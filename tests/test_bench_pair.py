@@ -214,3 +214,36 @@ def test_digests_equal_flags_one_differing_digest(bench_pair, monkeypatch, tmp_p
     assert workloads["brute_setup"]["change"]["digests"] == ["d", "e"]
     assert workloads["brute_setup"]["digests_equal"] is False
     assert workloads["chain100_single"]["digests_equal"] is True
+
+
+def test_row_costs_cover_every_width_and_policy(bench_pair):
+    from mamab import policies
+
+    costs = bench_pair.row_costs(widths=(16, 64), reps=1, calls=2)
+    assert costs["wide_row"] == policies.WIDE_ROW
+    points = {(p["policy"], p["width"]): p for p in costs["points"]}
+    assert set(points) == {(policy, width) for policy in ("eps1", "eps0.5", "eps0.1", "ucb")
+                           for width in (16, 64)}
+    assert points["eps0.1", 64]["scores_per_row"] == 6.4
+    assert points["ucb", 64]["scores_per_row"] == 64
+    for point in points.values():
+        assert point["narrow_us"] > 0 and point["wide_us"] > 0 and point["speedup"] > 0
+
+
+@pytest.mark.parametrize("losses, crossover", [
+    ((), 1.6),
+    # ucb at width 64 loses, though eps1 at 64 and eps0.5 at 128 (64 a row) win
+    ((("ucb", 64),), 128),
+    ((("eps1", 128),), None),
+])
+def test_row_crossover_needs_every_point_at_a_count_to_win(bench_pair, monkeypatch,
+                                                           losses, crossover):
+    order = iter([(width, policy) for width in (16, 64, 128)
+                  for policy in ("eps1", "eps0.5", "eps0.1", "ucb")])
+
+    def paired(narrow, wide, inputs, rounds):
+        width, policy = next(order)
+        return 1.0, 1.0, 0.9 if (policy, width) in losses else 1.1
+
+    monkeypatch.setattr(bench_pair, "paired_per_call", paired)
+    assert bench_pair.row_costs(widths=(16, 64, 128))["crossover"] == crossover

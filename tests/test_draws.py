@@ -94,6 +94,24 @@ def test_log_and_trig_are_the_same_ieee_steps_on_every_machine():
     assert {s.hex() for s in sin.tolist()} >= {"0x0.0p+0", "-0x0.0p+0"}
 
 
+def test_quarter_turn_select_is_the_choose_formula():
+    # the quadrant is chosen by np.where and exact signs; np.choose over
+    # (c, -s, -c, s) and (s, c, -s, -c) gave these bits, compared by their
+    # uint64 view over every quarter turn and a sweep of uniforms
+    v = np.concatenate([draws.uniforms(draws.stream_key(9, 1), 0, 1 << 16), EDGES,
+                        np.arange(4097) / 4096.0])
+    w = v * 4.0
+    q = np.rint(w)
+    x = (w - q) * (math.pi / 2)
+    s = x * draws._horner(draws.SIN, x * x)
+    c = draws._horner(draws.COS, x * x)
+    turns = q.astype(np.int64) & 3
+    cos, sin = draws.cos_sin_2pi(v)
+    assert np.array_equal(cos.view(np.uint64), np.choose(turns, (c, -s, -c, s)).view(np.uint64))
+    assert np.array_equal(sin.view(np.uint64), np.choose(turns, (s, c, -s, -c)).view(np.uint64))
+    assert set(turns.tolist()) == {0, 1, 2, 3}
+
+
 def test_log_and_trig_stay_within_two_ulps():
     # the C library's log is within an ulp of exact; math.cos(2 pi v)
     # rounds 2 pi v first, so the reference angle is reduced as the

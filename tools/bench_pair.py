@@ -30,12 +30,22 @@ kernel against the loop it replaces. Each kernel and the path it
 replaces are timed in interleaved rounds, and the speedup is the median
 of the rounds' paired ratios, so a slow phase of a shared machine falls
 on both sides of a ratio.
+
+With --row-costs the file also records what one whole round costs in
+each stats layout of `mamab.policies` (lists, or the wide layout's numpy
+arrays): the score row, its hand-off to the argmax (`.tolist()` for a
+wide row) and the update, at row widths 16 to 1,024 under eps_mats at
+epsilon 1, 0.5 and 0.1 and under ucb_baseline, timed in interleaved
+rounds. It reports the crossover: the fewest scores a row from which the
+wide layout won at every point drawing at least that many, the figure
+`policies.WIDE_ROW` is set from.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import platform
@@ -241,6 +251,59 @@ def flat_kernel_costs(reps: int = 15, calls: int = 200) -> dict:
     return costs
 
 
+ROW_WIDTHS = (16, 24, 32, 40, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+
+
+def row_costs(widths=ROW_WIDTHS, reps: int = 15, calls: int = 200) -> dict:
+    """Microseconds per round of the narrow and the wide layout at each
+    row width and policy (medians of `reps` interleaved rounds of `calls`
+    rounds, and the median paired ratio narrow/wide as `speedup`). The
+    update folds one reward into every fourth slot, as a chain of binary
+    pairs does. `crossover` is the fewest scores a row from which the
+    wide layout won at every point; None when it lost at the largest."""
+    sys.path[:0] = [str(ROOT / "src")]
+    from mamab import policies
+    from mamab.draws import TrialDraws
+
+    configs = {"eps1": policies.PolicyConfig("eps_mats", epsilon=1.0, c=2.0),
+               "eps0.5": policies.PolicyConfig("eps_mats", epsilon=0.5, c=2.0),
+               "eps0.1": policies.PolicyConfig("eps_mats", epsilon=0.1, c=2.0),
+               "ucb": policies.PolicyConfig("ucb_baseline", ucb_range=1.0)}
+
+    def round_fn(cfg, width, wide):
+        rng = TrialDraws(1, wide)
+        stats = policies.LocalArmStats.fresh(width, wide)
+        flat = list(range(0, width, 4))
+        rewards = [0.5] * len(flat)
+        rounds = itertools.count(1)
+
+        def one_round(_):
+            if cfg.kind == "eps_mats":
+                scores = policies.sample_scores(stats, cfg, rng)
+            else:
+                scores = policies.ucb_scores(stats, next(rounds), cfg)
+            if wide:
+                scores.tolist()
+            policies.update_stats_at(stats, flat, rewards)
+        return one_round
+
+    points = []
+    for width in widths:
+        for label, cfg in configs.items():
+            narrow, wide, speedup = paired_per_call(
+                round_fn(cfg, width, False), round_fn(cfg, width, True), [None] * calls, reps)
+            per_row = width if cfg.kind == "ucb_baseline" else cfg.epsilon * width
+            points.append({"policy": label, "width": width, "scores_per_row": per_row,
+                           "narrow_us": narrow * 1e6, "wide_us": wide * 1e6,
+                           "speedup": speedup})
+    crossover = None
+    for count in sorted({p["scores_per_row"] for p in points}, reverse=True):
+        if any(p["speedup"] <= 1.0 for p in points if p["scores_per_row"] == count):
+            break
+        crossover = count
+    return {"wide_row": policies.WIDE_ROW, "crossover": crossover, "points": points}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
@@ -251,6 +314,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--ve-costs", action="store_true")
+    parser.add_argument("--row-costs", action="store_true")
     args = parser.parse_args(argv)
     if args.pairs < 5:
         parser.error("at least 5 pairs")
@@ -270,6 +334,8 @@ def main(argv=None) -> int:
     if args.ve_costs:
         report["ve_kernel"] = ve_kernel_costs()
         report["flat_kernel"] = flat_kernel_costs()
+    if args.row_costs:
+        report["row_costs"] = row_costs()
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
