@@ -78,10 +78,6 @@ def uniforms(key: int, start: int, n: int) -> np.ndarray:
     return (z >> 11) * 2.0 ** -53
 
 
-def uniform_list(key: int, start: int, n: int) -> list[float]:
-    return uniforms(key, start, n).tolist()
-
-
 LN2 = 0.6931471805599453          # log(2), correctly rounded
 SQRT_HALF = 0.7071067811865476
 # Horner coefficients, highest power first, of atanh(t) / t in t**2 and of
@@ -143,10 +139,6 @@ def normal_array(key: int, start: int, n: int) -> np.ndarray:
     return z[start - first:start - first + n]
 
 
-def normals(key: int, start: int, n: int) -> list[float]:
-    return normal_array(key, start, n).tolist()
-
-
 def gaps(u: np.ndarray, scale: float) -> np.ndarray:
     """Geometric gaps floor(log(1 - u) / scale) + 1 of the uniforms u,
     with scale = log1p(-eps)."""
@@ -169,11 +161,12 @@ def _blocks(key: int, make):
 
 
 class _Stream:
-    """One purpose's values, read in order, a slice at a time: lists, or
-    float64 arrays when `make` gives arrays and `array` is set."""
+    """One purpose's values, read in order, a slice at a time: the float64
+    arrays `make` gives when `array` is set, lists otherwise."""
 
     def __init__(self, key: int, make, array: bool = False):
-        self.blocks = _blocks(key, make)
+        blocks = _blocks(key, make)
+        self.blocks = blocks if array else map(np.ndarray.tolist, blocks)
         self.buf = np.empty(0) if array else []
         self.pos = 0
 
@@ -213,11 +206,10 @@ class TrialDraws:
     def __init__(self, seed: int, wide: bool = False):
         self.seed = seed
         self.wide = wide
-        self.scores = _Stream(stream_key(seed, SCORES), normal_array if wide else normals,
-                              array=wide)
-        self.rewards = _Stream(stream_key(seed, REWARDS), uniform_list)
-        self.reward_normals = _Stream(stream_key(seed, REWARD_NORMALS), normals)
-        self.choices = _Stream(stream_key(seed, CHOICES), uniform_list)
+        self.scores = _Stream(stream_key(seed, SCORES), normal_array, array=wide)
+        self.rewards = _Stream(stream_key(seed, REWARDS), uniforms)
+        self.reward_normals = _Stream(stream_key(seed, REWARD_NORMALS), normal_array)
+        self.choices = _Stream(stream_key(seed, CHOICES), uniforms)
         self.gate = None          # the trial's (eps, width), once drawn
         self.gaps = None          # its gate gaps, in order (in blocks when wide)
         self.next_pass = 0        # slot of the next pass, from the next row's start

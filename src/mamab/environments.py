@@ -76,31 +76,32 @@ class RestrictedCandidates:
     """Explicit joint-arm set for environments whose playable assignments
     are not a full product space.
 
-    The set is the single `optimal` assignment plus every combination of
-    per-agent decoy arms 1..num_decoys (all agents are singleton groups).
+    The set is the all-zero assignment `optimal` plus every combination
+    of per-agent decoy arms 1..num_decoys. `make_environment` requires
+    its layout, singleton groups [0], [1], ... of agents with
+    num_decoys + 1 arms each (group e's arms start at slot
+    e (num_decoys + 1)), and means whose product-space optimum is a
+    candidate.
     argmax over the set factors through per-group maxima, which returns
     exactly what a literal scan of the enumerated candidate list returns,
     including the tie-break toward the earliest candidate. It checks its
     scores as `ve_argmax` does.
     """
 
-    offsets: tuple[int, ...]
+    num_groups: int
     num_decoys: int
-    optimal: JointAssignment
 
-    def __post_init__(self):
-        # group e's arms are slots e (L + 1) .. e (L + 1) + L
-        step = self.num_decoys + 1
-        if self.offsets != tuple(range(0, len(self.offsets) * step, step)):
-            raise ValueError(f"offsets {self.offsets} are not multiples of {step} from 0")
+    @functools.cached_property
+    def optimal(self) -> JointAssignment:
+        return (0,) * self.num_groups
 
     @property
     def size(self) -> int:
-        return self.num_decoys ** len(self.offsets) + 1
+        return self.num_decoys ** self.num_groups + 1
 
     def __iter__(self):
         yield self.optimal
-        yield from itertools.product(range(1, self.num_decoys + 1), repeat=len(self.offsets))
+        yield from itertools.product(range(1, self.num_decoys + 1), repeat=self.num_groups)
 
     def argmax(self, scores: Sequence[float] | np.ndarray) -> EliminationResult:
         """The best candidate, its value and the score cells read. An array
@@ -108,7 +109,7 @@ class RestrictedCandidates:
         bounds every total, so it is taken as it is (see `_array_argmax`);
         any other input is checked by `_checked_scores`."""
         num_decoys = self.num_decoys
-        size = len(self.offsets) * (num_decoys + 1)
+        size = self.num_groups * (num_decoys + 1)
         if (type(scores) is np.ndarray and len(scores) == size
                 and math.isfinite(float(np.abs(scores).max()) * size)):
             return self._array_argmax(scores)
@@ -116,7 +117,7 @@ class RestrictedCandidates:
         opt_total = 0.0
         sub_total = 0.0
         sub_arms = []
-        for off in self.offsets:
+        for off in range(0, size, num_decoys + 1):
             opt_total += scores[off]
             if num_decoys:
                 # max and index both take the first maximum: smallest decoy
@@ -124,10 +125,9 @@ class RestrictedCandidates:
                 best = max(decoys)
                 sub_total += best
                 sub_arms.append(decoys.index(best) + 1)
-        ops = len(self.offsets) * (num_decoys + 1)
         if not num_decoys or sub_total <= opt_total:
-            return EliminationResult(self.optimal, opt_total, ops)
-        return EliminationResult(tuple(sub_arms), sub_total, ops)
+            return EliminationResult(self.optimal, opt_total, size)
+        return EliminationResult(tuple(sub_arms), sub_total, size)
 
     def _array_argmax(self, scores: np.ndarray) -> EliminationResult:
         """`argmax` on an array: group e's arms are row e of a
@@ -135,7 +135,7 @@ class RestrictedCandidates:
         smallest decoy) and totals, summed in group order as Python
         floats, are the list scan's."""
         num_decoys = self.num_decoys
-        rows = scores.reshape(len(self.offsets), num_decoys + 1)
+        rows = scores.reshape(self.num_groups, num_decoys + 1)
         opt_total = 0.0
         for x in rows[:, 0].tolist():
             opt_total += x
@@ -151,7 +151,7 @@ class RestrictedCandidates:
 
     @functools.cached_property
     def _offset_array(self) -> np.ndarray:
-        return np.array(self.offsets)
+        return np.arange(self.num_groups) * (self.num_decoys + 1)
 
     def sample(self, rng: TrialDraws) -> JointAssignment:
         """Uniform draw over the candidate list, of any size. With B = 53k
@@ -173,7 +173,7 @@ class RestrictedCandidates:
         idx = m >> bits
         if idx == 0:
             return self.optimal
-        combo = _mixed_radix_decode(idx - 1, [self.num_decoys] * len(self.offsets))
+        combo = _mixed_radix_decode(idx - 1, [self.num_decoys] * self.num_groups)
         return tuple(a + 1 for a in combo)
 
 
@@ -195,8 +195,15 @@ def make_environment(graph: Hypergraph, means: Sequence[float],
                      families: Sequence[str], name: str,
                      candidates: Optional[RestrictedCandidates] = None,
                      ) -> Environment:
-    """Validate means/families against the graph, locate the optimum, and
-    freeze the environment."""
+    """Validate means/families (and a candidate set) against the graph,
+    locate the optimum, and freeze the environment."""
+    if candidates is not None:
+        k = candidates.num_groups
+        if (graph.groups != tuple((e,) for e in range(k))
+                or graph.arm_counts != (candidates.num_decoys + 1,) * k):
+            raise InvalidEnvironmentError(
+                f"{candidates} does not fit {graph}: it needs groups [0], [1], .. [{k - 1}] "
+                f"of one agent each, with {candidates.num_decoys + 1} arms")
     if len(means) != graph.num_local_arms:
         raise InvalidEnvironmentError(
             f"means has length {len(means)}, expected {graph.num_local_arms}")
@@ -229,6 +236,9 @@ def make_environment(graph: Hypergraph, means: Sequence[float],
         opt_arms = res.argmax
     else:
         opt_arms = ve_argmax(graph, list(means)).argmax
+    if candidates is not None and 0 in opt_arms and any(opt_arms):
+        raise InvalidEnvironmentError(f"the optimum {opt_arms} of the means mixes arm 0 "
+                                      f"with decoys, so it is not in {candidates}")
     # recompute in ascending group order so the cached value is bitwise
     # the value pseudo_regret reconstructs for this assignment
     opt_value = assignment_value(graph, means, opt_arms)
@@ -340,11 +350,9 @@ def lower_bound_env(rho: int, L: int, X: float, delta: float) -> Environment:
             f"{'delta' if delta > (L + 1) * X else 'X'} is too large: the {len(means)} "
             f"means (X = {X}, delta = {delta}) sum beyond the float range")
     graph = Hypergraph(rho, [L + 1] * rho, [[e] for e in range(rho)])
-    candidates = RestrictedCandidates(offsets=graph.local_offsets,
-                                      num_decoys=L, optimal=(0,) * rho)
     return make_environment(graph, means, ["gaussian"] * rho,
                             name=f"lower_bound_rho{rho}_L{L}",
-                            candidates=candidates)
+                            candidates=RestrictedCandidates(rho, L))
 
 
 # ---------------------------------------------------------------------

@@ -9,9 +9,10 @@ Three policy kinds share one interface:
   smaller epsilon trades exploration for speed.
 * ``ucb_baseline``: optimism bonus added to each local mean. This is a
   plain UCB-style construction for comparison runs, not a faithful
-  reimplementation of any published multi-agent UCB method. The bonus's
-  denominator 2 (n + 1) is read from a table indexed by the pull count n
-  (``_UCB_DENOMINATORS``), built once and grown to the largest count met.
+  reimplementation of any published multi-agent UCB method. The bonus
+  halves ln(t * A_loc) once a row and divides by n + 1: halving is exact
+  and so is n + 1 as a float, so the one rounded quotient has the bits
+  of ln(t * A_loc) / (2 (n + 1)).
 * ``random``: uniform independent arm per agent.
 
 All randomness comes from the caller's ``TrialDraws`` (see
@@ -97,7 +98,11 @@ class LocalArmStats:
 
     def __post_init__(self):
         self.wide = type(self.mu_hat) is np.ndarray
-        # a negative count would index the UCB table from its end
+        if (type(self.n) is np.ndarray) != self.wide or len(self.n) != len(self.mu_hat):
+            raise ValueError(f"pull counts {type(self.n).__name__}[{len(self.n)}] and means "
+                             f"{type(self.mu_hat).__name__}[{len(self.mu_hat)}] differ in "
+                             "layout or length")
+        # a count of -1 would make the divisor n + 1 zero
         low = int(self.n.min(initial=0)) if self.wide else min(self.n, default=0)
         if low < 0:
             raise ValueError(f"pull counts must be >= 0, got {low}")
@@ -173,36 +178,20 @@ def sample_scores(stats: LocalArmStats, cfg: PolicyConfig, rng: TrialDraws,
     return scores
 
 
-# Entry n is 2.0 * (n + 1), the UCB denominator of an arm pulled n times,
-# so reading it gives the bits computing it would. An entry depends on n
-# alone, so every caller shares the table; a growth replaces it whole, so
-# a caller holding the old one still reads correct entries.
-_UCB_DENOMINATORS: list[float] = []
-
-
 def ucb_scores(stats: LocalArmStats, t: int, cfg: PolicyConfig) -> list[float] | np.ndarray:
     """Optimistic score per local arm:
     mu_hat[j] + ucb_range * sqrt(ln(t * A_loc) / (2 * (n[j] + 1))),
-    the denominator read from ``_UCB_DENOMINATORS``. A count past the
-    table's end grows it to cover that count and at least doubles it.
-    Wide stats give an array of the same bits, computing the denominator.
+    computed as sqrt(half_log / (n[j] + 1)) with half_log = ln(t * A_loc) / 2
+    (module docstring). Wide stats give an array of the same bits.
     """
-    global _UCB_DENOMINATORS
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     scale = cfg.ucb_range
-    log_term = math.log(t * len(stats))
+    half_log = math.log(t * len(stats)) / 2.0
     if stats.wide:
-        return stats.mu_hat + scale * np.sqrt(log_term / (2.0 * (stats.n + 1)))
+        return stats.mu_hat + scale * np.sqrt(half_log / (stats.n + 1))
     sqrt = math.sqrt
-    while True:
-        den = _UCB_DENOMINATORS
-        try:
-            return [m + scale * sqrt(log_term / den[nj])
-                    for m, nj in zip(stats.mu_hat, stats.n)]
-        except IndexError:
-            size = max(max(stats.n) + 1, 2 * len(den))
-            _UCB_DENOMINATORS = [2.0 * (nj + 1) for nj in range(size)]
+    return [m + scale * sqrt(half_log / (nj + 1)) for m, nj in zip(stats.mu_hat, stats.n)]
 
 
 def select_arm(h: Hypergraph, stats: LocalArmStats, cfg: PolicyConfig, t: int,

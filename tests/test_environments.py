@@ -301,8 +301,7 @@ class TestLowerBoundEnvironment:
         # them, and about half the draws land in the remainder that
         # Lemire's rejection redraws
         size = 2 ** 52 + 1
-        cands = RestrictedCandidates(offsets=tuple(range(0, 4 * 8193, 8193)),
-                                     num_decoys=8192, optimal=(0,) * 4)
+        cands = RestrictedCandidates(4, 8192)
         assert cands.size == size
         redrawn = 0
         for seed in range(20):
@@ -381,7 +380,7 @@ class TestRewardSampling:
         rng = TrialDraws(9)
         rewards = [sample_rewards(env, (0, 1, 1), rng) for _ in range(40)]
         u = draws.uniforms(draws.stream_key(9, draws.REWARDS), 0, 120).tolist()
-        z = draws.normals(draws.stream_key(9, draws.REWARD_NORMALS), 0, 120)
+        z = draws.normal_array(draws.stream_key(9, draws.REWARD_NORMALS), 0, 120).tolist()
         expected = []
         for t in range(40):
             k, cdf, p = 0, math.exp(-1.5), math.exp(-1.5)
@@ -507,6 +506,36 @@ class TestMakeEnvironmentValidation:
         g = Hypergraph(1, [2], [[0]])
         with pytest.raises(InvalidEnvironmentError, match="local arm 1 has non-finite mean"):
             make_environment(g, [0.5, bad], ["gaussian"], "bad")
+
+    @pytest.mark.parametrize("graph", [
+        Hypergraph(2, [3, 3], [[0], [1]]),        # 3 arms an agent, not 6
+        Hypergraph(3, [6, 6, 6], [[0], [1], [2]]),  # 3 groups, not 2
+        Hypergraph(2, [6, 6], [[1], [0]]),        # groups out of order
+        Hypergraph(2, [6, 6], [[0, 1]]),          # one pair, not 2 singletons
+    ])
+    def test_candidates_must_fit_the_graph(self, graph):
+        # 2 groups of 5 decoys sampled arms 4 and 5 of 3-arm agents, and
+        # an eps_mats round met a score vector of the wrong length
+        cands = RestrictedCandidates(2, 5)
+        with pytest.raises(InvalidEnvironmentError,
+                           match=r"RestrictedCandidates\(num_groups=2, num_decoys=5\) "
+                                 r"does not fit Hypergraph\("):
+            make_environment(graph, [0.0] * graph.num_local_arms,
+                             ["gaussian"] * graph.num_groups, "bad", candidates=cands)
+
+    def test_candidates_must_hold_the_optimum(self):
+        # the product-space optimum (0, 1) is no candidate: first_optimal_pull
+        # could never hit it, and every candidate would pay regret
+        g = Hypergraph(2, [3, 3], [[0], [1]])
+        with pytest.raises(InvalidEnvironmentError,
+                           match=r"optimum \(0, 1\) of the means mixes arm 0 with decoys, "
+                                 r"so it is not in RestrictedCandidates\(num_groups=2"):
+            make_environment(g, [1, 0, 0, 0, 1, 0], ["gaussian"] * 2, "bad",
+                             candidates=RestrictedCandidates(2, 2))
+        for means, best in (([1, 0, 0, 1, 0, 0], (0, 0)), ([0, 1, 0, 0, 0, 1], (1, 2))):
+            env = make_environment(g, means, ["gaussian"] * 2, "ok",
+                                   candidates=RestrictedCandidates(2, 2))
+            assert env.optimal_assignment == best
 
 
 class TestTableEnvironment:

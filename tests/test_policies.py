@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from mamab import draws, policies
+from mamab import draws
 from mamab.draws import TrialDraws
 from mamab.elimination import brute_argmax
 from mamab.hypergraph import Hypergraph
@@ -137,7 +137,7 @@ class TestSampleScores:
         for u in gap_u:
             slot += math.floor(math.log1p(-u) / math.log1p(-eps)) + 1
             slots.append(slot)
-        z = draws.normals(draws.stream_key(123, draws.SCORES), 0, 200)
+        z = draws.normal_array(draws.stream_key(123, draws.SCORES), 0, 200).tolist()
         expected = [list(stats.mu_hat) for _ in range(50)]
         for k, slot in enumerate(s for s in slots if s < 200):
             t, j = divmod(slot, 4)
@@ -175,34 +175,42 @@ class TestUcbScores:
         with pytest.raises(ValueError):
             ucb_scores(stats, 0, cfg)
 
-    def test_table_gives_the_formula_bits_for_any_count(self, monkeypatch):
-        # hand-built counts far past t = 1: the table grows to the largest
-        # count met, or doubles, and every score keeps the closed
-        # formula's bits before and after each growth
-        monkeypatch.setattr(policies, "_UCB_DENOMINATORS", [])
-        cfg = PolicyConfig("ucb_baseline", ucb_range=1.5)
-
-        def closed(stats, t):
-            log_term = math.log(t * len(stats))
-            return [(m + 1.5 * math.sqrt(log_term / (2.0 * (n + 1)))).hex()
-                    for m, n in zip(stats.mu_hat, stats.n)]
-
-        small = LocalArmStats(n=[0, 1, 2, 7], mu_hat=[0.5, -0.25, 1e-3, 2.0])
-        doubling = LocalArmStats(n=[8, 3], mu_hat=[0.1, 0.2])
-        large = LocalArmStats(n=[0, 5, 999_999, 10 ** 6, 123_457],
-                              mu_hat=[0.0, 0.3, -0.7, 0.9, 1e6])
-        for stats, size in ((small, 8), (doubling, 16), (large, 10 ** 6 + 1)):
-            assert [x.hex() for x in ucb_scores(stats, 1, cfg)] == closed(stats, 1)
-            assert len(policies._UCB_DENOMINATORS) == size
-        for stats in (small, doubling, large):
-            for t in (1, 2, 10 ** 6):
-                assert [x.hex() for x in ucb_scores(stats, t, cfg)] == closed(stats, t)
-        assert len(policies._UCB_DENOMINATORS) == 10 ** 6 + 1
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_scores_give_the_closed_formula_bits_for_any_count(self, wide):
+        # halving ln(t * A_loc) once, then dividing by n + 1, rounds once
+        # like ln(t * A_loc) / (2 (n + 1)): hand-built counts up to 10**6
+        rng = random.Random(17)
+        for scale in (0.1, 1.0, 1.5, 40.0):
+            cfg = PolicyConfig("ucb_baseline", ucb_range=scale)
+            for _ in range(25):
+                n = [rng.choice([0, 1, 2, 7, 999_999, 10 ** 6, rng.randrange(10 ** 6 + 1)])
+                     for _ in range(rng.randint(1, 12))]
+                mu = [rng.uniform(-3.0, 5.0) for _ in n]
+                stats = (LocalArmStats(n=np.array(n), mu_hat=np.array(mu)) if wide
+                         else LocalArmStats(n=n, mu_hat=mu))
+                for t in (1, 2, 3, 100, 10 ** 4, 10 ** 6, 2 ** 40):
+                    log_term = math.log(t * len(n))
+                    closed = [(m + scale * math.sqrt(log_term / (2.0 * (nj + 1)))).hex()
+                              for m, nj in zip(mu, n)]
+                    got = ucb_scores(stats, t, cfg)
+                    assert [x.hex() for x in (got.tolist() if wide else got)] == closed
 
     def test_negative_count_rejected(self):
-        # it would read the UCB table from its end
+        # a count of -1 would make the bonus's divisor n + 1 zero
         with pytest.raises(ValueError, match="pull counts"):
             LocalArmStats(n=[3, -1], mu_hat=[0.0, 0.0])
+
+    @pytest.mark.parametrize("n, mu_hat", [
+        ([0, 1], np.zeros(2)),                 # list counts, array means
+        (np.zeros(2, dtype=np.int64), [0.0, 0.0]),
+        ([0, 1], [0.0]),                       # two counts, one mean
+        (np.zeros(3, dtype=np.int64), np.zeros(2)),
+    ])
+    def test_counts_and_means_must_agree(self, n, mu_hat):
+        # mixed layouts failed with AttributeError, and unequal lengths
+        # built stats whose UCB row had one score for two counts
+        with pytest.raises(ValueError, match="differ in layout or length"):
+            LocalArmStats(n=n, mu_hat=mu_hat)
 
 
 class TestSelectArm:

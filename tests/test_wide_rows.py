@@ -18,7 +18,7 @@ import pytest
 
 from mamab import draws, harness, policies
 from mamab.draws import TrialDraws
-from mamab.environments import (RestrictedCandidates, chain_env, decoys_per_group,
+from mamab.environments import (chain_env, decoys_per_group,
                                 gem_mining_env, load_table_env, lower_bound_env)
 from mamab.harness import first_optimal_pull, run_trial
 from mamab.policies import LocalArmStats, PolicyConfig, sample_scores, ucb_scores
@@ -222,7 +222,3 @@ class TestRestrictedArrayArgmax:
         cand = lower_bound_env(1, 2, 3.5, 0.5).candidates
         scores = [1e308, 0.0, 0.0]
         assert cand.argmax(np.array(scores)) == cand.argmax(scores)
-
-    def test_offsets_must_tile_the_slots(self):
-        with pytest.raises(ValueError, match="not multiples of 3"):
-            RestrictedCandidates(offsets=(0, 2), num_decoys=2, optimal=(0, 0))
