@@ -225,14 +225,10 @@ def parse_config(path: Optional[str] = None,
         if key in ("T", "trials", "log_every") and values[key] < 1:
             raise ConfigError(f"'{key}' must be >= 1 ({sources[key]})")
 
-    if policy_kind == "eps_mats":
-        # stricter than PolicyConfig, which admits the greedy epsilon = 0
-        if not values["epsilon"] > 0:
-            raise ConfigError(f"'epsilon' must lie in (0, 1] ({sources['epsilon']})")
-        if values["c"] == "ln_T":
-            values["c"] = math.log(values["T"])
-            sources["c"] = (f"{sources.get('c', 'default')}, "
-                            f"ln_T at T = {values['T']}")
+    if policy_kind == "eps_mats" and values["c"] == "ln_T":
+        values["c"] = math.log(values["T"])
+        sources["c"] = (f"{sources.get('c', 'default')}, "
+                        f"ln_T at T = {values['T']}")
 
     def owned_by(kind):
         return {key: values[key] for key in accepted

@@ -28,9 +28,9 @@ ulps of the exact values.
 * Gate passes lie on the trial's slot axis (round t's slot j is
   (t - 1) * width + j) at geometric gaps floor(log(1 - u) / log1p(-eps))
   + 1, one uniform a gap, so the passes of every slot are independent
-  Bernoulli(eps). A gap is capped at MAX_GAP slots, so the passes are
-  exact for the first MAX_GAP slots of a trial. The scale log1p(-eps),
-  one number a trial, is Python's ``math.log1p``.
+  Bernoulli(eps) for eps in (0, 1]. A gap is capped at MAX_GAP slots,
+  so the passes are exact for the first MAX_GAP slots of a trial. The
+  scale log1p(-eps), one number a trial, is Python's ``math.log1p``.
 """
 
 from __future__ import annotations
@@ -187,20 +187,16 @@ class _Stream:
         return self.buf[pos:end]
 
 
-_NO_PASSES = np.empty(0, dtype=np.int64)
-_NO_PASSES.setflags(write=False)
-
-
 class TrialDraws:
     """Every random number of one trial, by address.
 
     Each purpose reads its own stream in order: `scores` the score
     normals (pass k takes normal k), `rewards` and `reward_normals` one
     slice of len(groups) a round, `choices` the uniforms behind the
-    random policy and candidate sampling, and the gates their gap
-    uniforms. A `wide` trial reads its score normals and gate passes as
-    numpy arrays, cut from the same blocks: the same values at the same
-    addresses.
+    random policy and candidate sampling, and the gates, drawn for
+    epsilon in (0, 1], their gap uniforms. A `wide` trial reads its score
+    normals and gate passes as numpy arrays, cut from the same blocks:
+    the same values at the same addresses.
     """
 
     def __init__(self, seed: int, wide: bool = False):
@@ -222,15 +218,15 @@ class TrialDraws:
     def passes(self, eps: float, width: int):
         """Offsets j in [0, width) of the next row of `width` slots whose
         gate passes with probability eps, ascending: a list, or an int64
-        array when wide. A trial keeps one eps and one width."""
+        array when wide. Gates are drawn for eps in (0, 1], and a trial
+        keeps one eps and one width."""
         if self.gate != (eps, width):
             if self.gate is not None:
                 raise ValueError(f"this trial's gates were drawn at epsilon {self.gate[0]} "
                                  f"over {self.gate[1]} slots, not {eps} over {width}")
+            if not 0.0 < eps <= 1.0:
+                raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
             self.gate = (eps, width)
-            if eps == 0.0:
-                self.next_pass = math.inf     # no gate ever passes
-                return _NO_PASSES if self.wide else []
             scale = -math.inf if eps == 1.0 else math.log1p(-eps)
             self.gaps = _blocks(stream_key(self.seed, GATES),
                                 lambda key, start, n: gaps(uniforms(key, start, n), scale))
@@ -239,7 +235,7 @@ class TrialDraws:
                 # pass k lies at slot s_k = s_(k-1) + gap_k, with s_0 = -1
                 self.next_pass = next(self.gaps) - 1
         if self.wide:
-            return self._pass_array(width) if self.gaps is not None else _NO_PASSES
+            return self._pass_array(width)
         s = self.next_pass
         row = []
         while s < width:

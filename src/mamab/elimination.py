@@ -370,15 +370,10 @@ def _interpret(sched: _Schedule, scores: list) -> tuple[JointAssignment, float]:
     slots = scores[:]         # output tables are appended; the caller's list stays
     choices = []
     for step in sched.steps:
-        col = step.inputs[0]
-        merged = slots[col.start:col.stop] if type(col) is range else [slots[c] for c in col]
+        merged = [slots[c] for c in step.inputs[0]]
         for col in step.inputs[1:]:
-            if type(col) is range:
-                for c, v in enumerate(slots[col.start:col.stop]):
-                    merged[c] += v
-            else:
-                for c, slot in enumerate(col):
-                    merged[c] += slots[slot]
+            for c, slot in enumerate(col):
+                merged[c] += slots[slot]
         k = step.k
         out = [0.0] * step.out_size
         arg = [0] * step.out_size

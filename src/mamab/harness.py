@@ -73,6 +73,8 @@ def _rounds(env: Environment, cfg: PolicyConfig, horizon: int, seed: int,
     that round's reward draw. The trial's stats layout is chosen once, by
     `wide_rows`. The layer functions are looked up as module globals on
     every round, so a profiler can wrap them."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     graph = env.graph
     wide = wide_rows(cfg, graph.num_local_arms)
     rng = TrialDraws(seed, wide)
@@ -92,8 +94,6 @@ def run_trial(env: Environment, cfg: PolicyConfig, horizon: int, seed: int,
     Checkpoints land every `log_every` rounds and always at the final
     round. Deterministic given (environment, cfg, seed).
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if log_every < 1:
         raise ValueError(f"log_every must be >= 1, got {log_every}")
     tally = WorkTally()
@@ -165,8 +165,6 @@ def first_optimal_pull(env: Environment, cfg: PolicyConfig, horizon: int,
     """
     if cfg.kind != "eps_mats":
         raise ValueError("first_optimal_pull expects an eps_mats policy")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     optimal = env.optimal_assignment
     for t, arms, _flat in _rounds(env, cfg, horizon, seed):
         if arms == optimal:

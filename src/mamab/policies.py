@@ -26,15 +26,15 @@ run reproducible from (config, seed) alone.
 
 Stats come in two layouts, chosen once per trial by ``wide_rows``. A
 trial whose rows draw at least WIDE_ROW scores on average (A_loc under
-ucb_baseline and eps_mats at epsilon 1, epsilon * A_loc otherwise) is
-wide: its counts and means are int64 and float64 numpy arrays, a score
-row is one array expression over them (or over the gate passes), and
-the update is one scatter. Other trials keep Python lists, whose
-per-slot loops cost less on short rows. Both give the same bits: IEEE
-sums, products, quotients and square roots round alike element by
-element. WIDE_ROW is the crossover that ``tools/bench_pair.py
---row-costs`` measured for one whole round (score row, argmax hand-off,
-update): 77-102 scores a row on a 2-vCPU machine, rounded up to 128.
+ucb_baseline, epsilon * A_loc under eps_mats) is wide: its counts and
+means are int64 and float64 numpy arrays, a score row is one array
+expression over them (or over the gate passes), and the update is one
+scatter. Other trials keep Python lists, whose per-slot loops cost less
+on short rows. Both give the same bits: IEEE sums, products, quotients
+and square roots round alike element by element. WIDE_ROW is the
+crossover that ``tools/bench_pair.py --row-costs`` measured for one
+whole round (score row, argmax hand-off, update): 77-102 scores a row on
+a 2-vCPU machine, rounded up to 128.
 """
 
 from __future__ import annotations
@@ -59,12 +59,10 @@ WIDE_ROW = 128
 class PolicyConfig:
     """Hyperparameters for one policy.
 
-    epsilon is meaningful for eps_mats only and must lie in (0, 1] for
-    any run configured through the public surface; epsilon = 0 (pure
-    greedy on empirical means) is permitted when constructing the config
-    directly, for diagnostics and tests. c > 0 scales the posterior
-    variance. ucb_range > 0 scales the ucb_baseline bonus. Both must be
-    finite: an infinite scale drowns every mean and plays near-uniformly.
+    epsilon is meaningful for eps_mats only and must lie in (0, 1], the
+    range the gates are drawn for. c > 0 scales the posterior variance.
+    ucb_range > 0 scales the ucb_baseline bonus. Both must be finite: an
+    infinite scale drowns every mean and plays near-uniformly.
     """
 
     kind: str
@@ -76,8 +74,8 @@ class PolicyConfig:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "eps_mats":
-            if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
-                raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            if self.epsilon is None or not 0.0 < self.epsilon <= 1.0:
+                raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
             if self.c is None or not 0 < self.c < math.inf:
                 raise ValueError(f"c must be positive and finite, got {self.c}")
         elif self.kind == "ucb_baseline":
@@ -128,11 +126,11 @@ class WorkTally:
 
 def wide_rows(cfg: PolicyConfig, width: int) -> bool:
     """Whether a trial of rows of `width` slots draws at least WIDE_ROW
-    scores a row on average: width under ucb_baseline and eps_mats at
-    epsilon 1, epsilon * width under eps_mats, none under random."""
+    scores a row on average: width under ucb_baseline, epsilon * width
+    under eps_mats, none under random."""
     if cfg.kind == "random":
         per_row = 0.0
-    elif cfg.kind == "ucb_baseline" or cfg.epsilon == 1.0:
+    elif cfg.kind == "ucb_baseline":
         per_row = width
     else:
         per_row = cfg.epsilon * width

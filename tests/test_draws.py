@@ -185,10 +185,25 @@ def test_trial_independent_of_trial_count():
 
 
 def test_epsilon_zero_never_passes_and_epsilon_one_always_does():
-    none, every = TrialDraws(3), TrialDraws(3)
+    # epsilon 0 is refused, so no trial draws a gate at it
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\], got 0.0"):
+        TrialDraws(3).passes(0.0, 37)
+    every = TrialDraws(3)
     for _ in range(100):
-        assert none.passes(0.0, 37) == []
         assert every.passes(1.0, 37) == list(range(37))
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, math.nan, -math.inf])
+def test_passes_refuse_epsilon_outside_zero_to_one(wide, eps):
+    # unrefused, NaN gives gaps of -2**63 + 1 and a row loop that never
+    # ends, and a negative epsilon silently never passes
+    rng = TrialDraws(1, wide)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+        rng.passes(eps, 10)
+    assert rng.gate is None
+    # the refusal binds no gate, so the trial can still draw at a valid epsilon
+    assert len(rng.passes(1.0, 10)) == 10
 
 
 def test_gaps_follow_the_kernel_log():
@@ -239,8 +254,3 @@ def test_one_trial_keeps_one_epsilon_and_width():
         rng.passes(0.1, 5)
     with pytest.raises(ValueError, match="not 0.0 over 4"):
         rng.passes(0.0, 4)
-    # epsilon 0 fixes the trial's gate too
-    rng = TrialDraws(1)
-    assert rng.passes(0.0, 4) == rng.passes(0.0, 4) == []
-    with pytest.raises(ValueError, match="epsilon 0.0 over 4 slots, not 0.1 over 4"):
-        rng.passes(0.1, 4)

@@ -7,7 +7,6 @@ import pytest
 
 from mamab import draws
 from mamab.draws import TrialDraws
-from mamab.elimination import brute_argmax
 from mamab.hypergraph import Hypergraph
 from mamab.policies import (
     LocalArmStats,
@@ -29,14 +28,10 @@ class TestPolicyConfig:
         PolicyConfig("ucb_baseline", ucb_range=1.0)
         PolicyConfig("random")
 
-    def test_greedy_epsilon_zero_allowed_internally(self):
-        PolicyConfig("eps_mats", epsilon=0.0, c=1.0)
-
     def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            PolicyConfig("eps_mats", epsilon=1.5, c=1.0)
-        with pytest.raises(ValueError):
-            PolicyConfig("eps_mats", epsilon=-0.1, c=1.0)
+        for epsilon in (1.5, -0.1, 0.0, math.nan):
+            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+                PolicyConfig("eps_mats", epsilon=epsilon, c=1.0)
 
     def test_bad_c(self):
         for c in (0.0, math.inf, math.nan):
@@ -63,12 +58,6 @@ class TestPolicyConfig:
 
 
 class TestSampleScores:
-    def test_epsilon_zero_is_greedy(self):
-        stats = LocalArmStats(n=[3, 0, 7], mu_hat=[0.5, 0.0, -1.25])
-        cfg = PolicyConfig("eps_mats", epsilon=0.0, c=1.0)
-        scores = sample_scores(stats, cfg, TrialDraws(1))
-        assert scores == [0.5, 0.0, -1.25]
-
     def test_unpulled_arm_samples_standard_normal(self):
         # n=0, mu=0, c=1 and epsilon=1 puts every draw on Normal(0, 1)
         cfg = PolicyConfig("eps_mats", epsilon=1.0, c=1.0)
@@ -226,15 +215,6 @@ class TestSelectArm:
             counts[a] = counts.get(a, 0) + 1
         for a in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert abs(counts[a] / rounds - 0.25) < 0.01
-
-    def test_greedy_on_true_means_finds_optimum(self):
-        h = Hypergraph(4, [2] * 4, chain_groups(4, 2))
-        rng_means = random.Random(17)
-        means = [rng_means.random() for _ in range(h.num_local_arms)]
-        stats = LocalArmStats(n=[10] * h.num_local_arms, mu_hat=list(means))
-        cfg = PolicyConfig("eps_mats", epsilon=0.0, c=1.0)
-        chosen = select_arm(h, stats, cfg, 1, TrialDraws(0))
-        assert chosen == brute_argmax(h, means).argmax
 
     def test_fresh_stats_returns_valid_assignment(self):
         h = Hypergraph(3, [2, 3, 2], [[0, 1], [1, 2]])

@@ -46,7 +46,6 @@ CONFIGS = {
     "eps1": PolicyConfig("eps_mats", epsilon=1.0, c=2.0),
     "eps0.5": PolicyConfig("eps_mats", epsilon=0.5, c=2.0),
     "eps0.05": PolicyConfig("eps_mats", epsilon=0.05, c=2.0),
-    "eps0": PolicyConfig("eps_mats", epsilon=0.0, c=2.0),
     "ucb": PolicyConfig("ucb_baseline", ucb_range=1.0),
 }
 
@@ -124,7 +123,7 @@ def random_stats(rng, size, wide):
     return LocalArmStats(n=n, mu_hat=mu)
 
 
-@pytest.mark.parametrize("epsilon", [1.0, 0.3, 0.0])
+@pytest.mark.parametrize("epsilon", [1.0, 0.3])
 def test_wide_scores_are_the_narrow_bits(epsilon):
     cfg = PolicyConfig("eps_mats", epsilon=epsilon, c=2.5)
     narrow = random_stats(random.Random(4), 97, False)
@@ -170,7 +169,7 @@ def test_array_streams_are_the_list_streams(monkeypatch, block_cap):
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in narrow.scores.take(n)]
 
 
-@pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.05, 1e-3, 0.0, 5e-324])
+@pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.05, 1e-3, 5e-324])
 @pytest.mark.parametrize("width", [1, 7, 132, 528])
 def test_array_passes_are_the_list_passes(monkeypatch, epsilon, width):
     monkeypatch.setattr(draws, "BLOCK_CAP", 256)
