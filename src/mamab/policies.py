@@ -28,13 +28,25 @@ Stats come in two layouts, chosen once per trial by ``wide_rows``. A
 trial whose rows draw at least WIDE_ROW scores on average (A_loc under
 ucb_baseline, epsilon * A_loc under eps_mats) is wide: its counts and
 means are int64 and float64 numpy arrays, a score row is one array
-expression over them (or over the gate passes), and the update is one
-scatter. Other trials keep Python lists, whose per-slot loops cost less
-on short rows. Both give the same bits: IEEE sums, products, quotients
-and square roots round alike element by element. WIDE_ROW is the
+expression over them (or over the gate passes), and the update follows
+the rule below. Other trials keep Python lists, whose per-slot loops
+cost less on short rows. Both give the same bits: IEEE sums, products,
+quotients and square roots round alike element by element. WIDE_ROW is the
 crossover that ``tools/bench_pair.py --row-costs`` measured for one
 whole round (score row, argmax hand-off, update): 77-102 scores a row on
 a 2-vCPU machine, rounded up to 128.
+
+A wide trial reads each posterior scale sqrt(c / (n + 1)) by pull count
+from a table of the trial's stats, built for its c with the formula's
+own steps (int64 counts, + 1, c / count, sqrt), so every entry has the
+formula's bits. The table grows when a count first passes its end,
+which numpy's bounds-checked index reports, so no row scans the counts.
+Narrow rows keep the formula: a table there made a 36-slot row cost the
+same at epsilon 1 and 0.5, and acceptance criterion 6 needs the cost to
+rise with epsilon. A wide update folds each reward with Python scalars
+when a round touches fewer than SCATTER_GROUPS groups, and scatters
+otherwise; SCATTER_GROUPS is the crossover that ``--row-costs`` measured
+for the update alone (``update_crossover``).
 """
 
 from __future__ import annotations
@@ -53,6 +65,8 @@ POLICY_KINDS = ("eps_mats", "ucb_baseline", "random")
 
 # scores a row from which a trial's stats are numpy arrays (module docstring)
 WIDE_ROW = 128
+# groups a round from which a wide update scatters (module docstring)
+SCATTER_GROUPS = 16
 
 
 @dataclass(frozen=True)
@@ -93,6 +107,8 @@ class LocalArmStats:
     n: list[int] | np.ndarray
     mu_hat: list[float] | np.ndarray
     wide: bool = field(init=False, repr=False, compare=False)
+    # wide layout: (c, sqrt(c / (k + 1)) for k = 0 .. len - 1), see `scales`
+    scale_table: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.wide = type(self.mu_hat) is np.ndarray
@@ -100,6 +116,15 @@ class LocalArmStats:
             raise ValueError(f"pull counts {type(self.n).__name__}[{len(self.n)}] and means "
                              f"{type(self.mu_hat).__name__}[{len(self.mu_hat)}] differ in "
                              "layout or length")
+        # a fractional count would be sampled at its own scale, and the
+        # wide layout indexes its scale table by count
+        if self.wide:
+            if not np.issubdtype(self.n.dtype, np.integer):
+                raise ValueError(f"pull counts must be integers, got dtype {self.n.dtype}")
+        else:
+            bad = next((k for k in self.n if type(k) is not int), None)
+            if bad is not None:
+                raise ValueError(f"pull counts must be integers, got {bad!r}")
         # a count of -1 would make the divisor n + 1 zero
         low = int(self.n.min(initial=0)) if self.wide else min(self.n, default=0)
         if low < 0:
@@ -114,6 +139,21 @@ class LocalArmStats:
 
     def __len__(self) -> int:
         return len(self.n)
+
+    def scales(self, c: float, counts: np.ndarray) -> np.ndarray:
+        """Wide layout: sqrt(c / (k + 1)) for each count k of `counts`,
+        read from the table, which is rebuilt for a new c and grown when
+        a count passes its end."""
+        key, table = self.scale_table
+        if key == c:
+            try:
+                return table[counts]
+            except IndexError:
+                pass
+        k = np.arange(2 * (int(counts.max(initial=0)) + 1), dtype=np.int64)
+        table = np.sqrt(c / (k + 1))
+        self.scale_table = (c, table)
+        return table[counts]
 
 
 @dataclass
@@ -149,12 +189,12 @@ def sample_scores(stats: LocalArmStats, cfg: PolicyConfig, rng: TrialDraws,
     c = cfg.c
     if stats.wide:
         if cfg.epsilon == 1.0:
-            scores = mu + np.sqrt(c / (n + 1)) * rng.scores.take(len(mu))
+            scores = mu + stats.scales(c, n) * rng.scores.take(len(mu))
             draws = len(mu)
         else:
             scores = mu.copy()
             passes = rng.passes(cfg.epsilon, len(mu))
-            scores[passes] = (mu[passes] + np.sqrt(c / (n[passes] + 1))
+            scores[passes] = (mu[passes] + stats.scales(c, n[passes])
                               * rng.scores.take(len(passes)))
             draws = len(passes)
         if tally is not None:
@@ -240,11 +280,18 @@ def update_stats_at(stats: LocalArmStats, flat: Sequence[int],
     n = stats.n
     mu = stats.mu_hat
     if stats.wide:
+        size = len(flat)
+        if size < SCATTER_GROUPS:
+            for j, r in zip(flat, rewards):
+                nj = n.item(j)
+                mu[j] = (nj * mu.item(j) + r) / (nj + 1)
+                n[j] = nj + 1
+            return stats
         # a round's flat indices never repeat, so one scatter is the loop
-        j = np.array(flat)
+        j = np.fromiter(flat, np.int64, count=size)
         nj = n[j]
         n1 = nj + 1
-        mu[j] = (nj * mu[j] + rewards) / n1
+        mu[j] = (nj * mu[j] + np.fromiter(rewards, np.float64, count=size)) / n1
         n[j] = n1
         return stats
     for j, r in zip(flat, rewards):

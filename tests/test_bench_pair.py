@@ -229,6 +229,15 @@ def test_row_costs_cover_every_width_and_policy(bench_pair):
     for point in points.values():
         assert point["narrow_us"] > 0 and point["wide_us"] > 0 and point["speedup"] > 0
 
+    scatter_groups = policies.SCATTER_GROUPS
+    costs = bench_pair.update_costs(groups=(1, 4, 16), reps=1, calls=2)
+    # the sweep forces each update path and then puts the constant back
+    assert costs["scatter_groups"] == policies.SCATTER_GROUPS == scatter_groups
+    assert [p["groups"] for p in costs["update_points"]] == [1, 4, 16]
+    for point in costs["update_points"]:
+        assert point["loop_us"] > 0 and point["scatter_us"] > 0 and point["speedup"] > 0
+    assert costs["update_crossover"] in (None, 1, 4, 16)
+
 
 @pytest.mark.parametrize("losses, crossover", [
     ((), 1.6),
@@ -247,3 +256,20 @@ def test_row_crossover_needs_every_point_at_a_count_to_win(bench_pair, monkeypat
 
     monkeypatch.setattr(bench_pair, "paired_per_call", paired)
     assert bench_pair.row_costs(widths=(16, 64, 128))["crossover"] == crossover
+
+
+@pytest.mark.parametrize("losses, crossover", [
+    ((), 1),
+    # the scatter loses at 4 groups, though it wins at 1
+    ((4,), 16),
+    ((99,), None),
+])
+def test_update_crossover_needs_every_larger_point_to_win(bench_pair, monkeypatch,
+                                                          losses, crossover):
+    order = iter((1, 4, 16, 99))
+
+    def paired(loop, scatter, inputs, rounds):
+        return 1.0, 1.0, 0.9 if next(order) in losses else 1.1
+
+    monkeypatch.setattr(bench_pair, "paired_per_call", paired)
+    assert bench_pair.update_costs(groups=(1, 4, 16, 99))["update_crossover"] == crossover

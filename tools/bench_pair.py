@@ -38,7 +38,11 @@ wide row) and the update, at row widths 16 to 1,024 under eps_mats at
 epsilon 1, 0.5 and 0.1 and under ucb_baseline, timed in interleaved
 rounds. It reports the crossover: the fewest scores a row from which the
 wide layout won at every point drawing at least that many, the figure
-`policies.WIDE_ROW` is set from.
+`policies.WIDE_ROW` is set from. It also times the wide update alone,
+folding rewards into 1 to 99 groups a round with the per-slot loop and
+with the scatter, in interleaved rounds, and reports `update_crossover`:
+the fewest groups from which the scatter won at every point touching at
+least that many, the figure `policies.SCATTER_GROUPS` is set from.
 """
 
 from __future__ import annotations
@@ -304,6 +308,48 @@ def row_costs(widths=ROW_WIDTHS, reps: int = 15, calls: int = 200) -> dict:
     return {"wide_row": policies.WIDE_ROW, "crossover": crossover, "points": points}
 
 
+UPDATE_GROUPS = (1, 2, 4, 6, 8, 12, 16, 32, 99)
+
+
+def update_costs(groups=UPDATE_GROUPS, reps: int = 15, calls: int = 200) -> dict:
+    """Microseconds per wide update that folds one reward into each of
+    `groups` groups, every fourth slot, with the per-slot loop and with
+    the scatter (medians of `reps` interleaved rounds of `calls` updates,
+    and the median paired ratio loop/scatter as `speedup`).
+    `update_crossover` is the fewest groups from which the scatter won at
+    every point; None when it lost at the largest."""
+    sys.path[:0] = [str(ROOT / "src")]
+    from mamab import policies
+
+    def update_fn(size, scatter_groups):
+        stats = policies.LocalArmStats.fresh(4 * max(groups), wide=True)
+        flat = list(range(0, 4 * size, 4))
+        rewards = [0.5] * size
+
+        def one_update(_):
+            kept = policies.SCATTER_GROUPS
+            policies.SCATTER_GROUPS = scatter_groups
+            try:
+                policies.update_stats_at(stats, flat, rewards)
+            finally:
+                policies.SCATTER_GROUPS = kept
+        return one_update
+
+    points = []
+    for size in groups:
+        loop, scatter, speedup = paired_per_call(
+            update_fn(size, float("inf")), update_fn(size, 0), [None] * calls, reps)
+        points.append({"groups": size, "loop_us": loop * 1e6, "scatter_us": scatter * 1e6,
+                       "speedup": speedup})
+    crossover = None
+    for point in sorted(points, key=lambda p: p["groups"], reverse=True):
+        if point["speedup"] <= 1.0:
+            break
+        crossover = point["groups"]
+    return {"scatter_groups": policies.SCATTER_GROUPS, "update_crossover": crossover,
+            "update_points": points}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
@@ -335,7 +381,7 @@ def main(argv=None) -> int:
         report["ve_kernel"] = ve_kernel_costs()
         report["flat_kernel"] = flat_kernel_costs()
     if args.row_costs:
-        report["row_costs"] = row_costs()
+        report["row_costs"] = {**row_costs(), **update_costs()}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
