@@ -36,7 +36,6 @@ ulps of the exact values.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -207,13 +206,11 @@ class TrialDraws:
         self.reward_normals = _Stream(stream_key(seed, REWARD_NORMALS), normal_array)
         self.choices = _Stream(stream_key(seed, CHOICES), uniforms)
         self.gate = None          # the trial's (eps, width), once drawn
-        self.gaps = None          # its gate gaps, in order (in blocks when wide)
-        self.next_pass = 0        # slot of the next pass, from the next row's start
-        # wide: pass slots from `start`, the next row's first slot, where
-        # slots[lo - 1] is the last pass (or -1) before slots[lo]
+        self.gaps = None          # its gate gaps, in blocks
+        self.rows = iter(())      # the offsets of the rows placed ahead, in order
+        # pass slots from the first row not yet placed, whose start is slot
+        # 0; slots[0] is the last pass before it (or -1)
         self.slots = np.array([-1], dtype=np.int64)
-        self.lo = 1
-        self.start = 0
 
     def passes(self, eps: float, width: int):
         """Offsets j in [0, width) of the next row of `width` slots whose
@@ -230,30 +227,28 @@ class TrialDraws:
             scale = -math.inf if eps == 1.0 else math.log1p(-eps)
             self.gaps = _blocks(stream_key(self.seed, GATES),
                                 lambda key, start, n: gaps(uniforms(key, start, n), scale))
-            if not self.wide:
-                self.gaps = chain.from_iterable(map(np.ndarray.tolist, self.gaps))
-                # pass k lies at slot s_k = s_(k-1) + gap_k, with s_0 = -1
-                self.next_pass = next(self.gaps) - 1
-        if self.wide:
-            return self._pass_array(width)
-        s = self.next_pass
-        row = []
-        while s < width:
-            row.append(s)
-            s += next(self.gaps)
-        self.next_pass = s - width
+        row = next(self.rows, None)
+        if row is None:
+            self._place_rows(width)
+            row = next(self.rows)
         return row
 
-    def _pass_array(self, width: int) -> np.ndarray:
-        slots, lo, start = self.slots, self.lo, self.start
-        end = start + width
-        while slots[-1] < end:
-            # rebase on the row's start and place the next block of gaps
-            # after the last known pass; the base stays below `width` and a
-            # block of MAX_GAP gaps below 2**62, so no slot overflows
-            known = slots[lo - 1:] - start
-            slots = np.concatenate((known, known[-1] + np.cumsum(next(self.gaps))))
-            lo, start, end = 1, 0, width
-        hi = int(slots.searchsorted(end))
-        self.slots, self.lo, self.start = slots, hi, end
-        return slots[lo:hi] - start
+    def _place_rows(self, width: int) -> None:
+        """Place the passes of the next rows, up to BLOCK_CAP of them: every
+        row that ends at or before the last known pass. A row is then one
+        slice, however many passes it holds. The slots from the first row
+        left over are rebased on its start."""
+        slots = self.slots
+        while slots[-1] < width:
+            # the base stays below `width` and a block of MAX_GAP gaps below
+            # 2**62, so no slot overflows
+            slots = np.concatenate((slots, slots[-1] + np.cumsum(next(self.gaps))))
+        rows = min(int(slots[-1]) // width, BLOCK_CAP)
+        bounds = slots.searchsorted(np.arange(rows + 1) * width)
+        offsets = slots % width
+        if not self.wide:
+            offsets = offsets.tolist()
+        # row k is offsets[bounds[k]:bounds[k + 1]], cut when it is read
+        bounds = bounds.tolist()
+        self.rows = map(offsets.__getitem__, map(slice, bounds[:-1], bounds[1:]))
+        self.slots = slots[bounds[-1] - 1:] - rows * width

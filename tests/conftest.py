@@ -8,7 +8,8 @@ import time
 import pytest
 
 from mamab.environments import chain_env, decoys_per_group, gem_mining_env, lower_bound_env
-from mamab.harness import ExperimentSpec, median_first_optimal_pull, run_experiment
+from mamab.harness import (ExperimentResult, ExperimentSpec, median_first_optimal_pull,
+                            run_experiment, summarize)
 from mamab.policies import PolicyConfig
 
 SWEEP_HORIZON = 10_000
@@ -41,17 +42,28 @@ def bernoulli_sweep():
     epsilon = 0.01. The grid must bracket it: epsilon = 1 over-explores
     and epsilon = 0.001, one decade below, under-explores. Each trial's
     stream depends only on its seed, so adding a grid point leaves the
-    other points' results unchanged."""
+    other points' results unchanged.
+
+    The grid points' trials run interleaved: trial i of every point
+    before trial i + 1 of any, in grid order for even i and in reverse
+    for odd i. A swing in the machine's load over the sweep then falls
+    on every point alike, and neighbouring points run side by side in
+    both orders, so criterion 6 compares the points' walls and not the
+    times at which they ran. Each result is the one `run_experiment`
+    gives for its point: the same seeds, traces and summary."""
     env = chain_env(10, 2, "bernoulli")
-    results = {}
-    elapsed = {}
-    for eps in SWEEP_EPSILONS:
-        cfg = PolicyConfig("eps_mats", epsilon=eps, c=math.log(SWEEP_HORIZON))
-        spec = ExperimentSpec(env, cfg, SWEEP_HORIZON, SWEEP_TRIALS,
-                              SWEEP_BASE_SEED, log_every=5000)
-        start = time.perf_counter()
-        results[eps] = run_experiment(spec)
-        elapsed[eps] = time.perf_counter() - start
+    cfgs = {eps: PolicyConfig("eps_mats", epsilon=eps, c=math.log(SWEEP_HORIZON))
+            for eps in SWEEP_EPSILONS}
+    traces = {eps: [] for eps in SWEEP_EPSILONS}
+    elapsed = dict.fromkeys(SWEEP_EPSILONS, 0.0)
+    for i in range(SWEEP_TRIALS):
+        for eps in SWEEP_EPSILONS[::-1 if i % 2 else 1]:
+            spec = ExperimentSpec(env, cfgs[eps], SWEEP_HORIZON, 1,
+                                  SWEEP_BASE_SEED + i, log_every=5000)
+            start = time.perf_counter()
+            traces[eps] += run_experiment(spec).traces
+            elapsed[eps] += time.perf_counter() - start
+    results = {eps: ExperimentResult(summarize(tr), tuple(tr)) for eps, tr in traces.items()}
     return env, results, elapsed
 
 

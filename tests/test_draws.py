@@ -223,8 +223,11 @@ def test_tiny_epsilon_passes_nowhere_within_the_horizon():
     rng = TrialDraws(11)
     with np.errstate(all="raise"):
         assert not any(rng.passes(5e-324, 500) for _ in range(2000))
-    # the clipped first gap puts the first pass at slot MAX_GAP
-    assert rng.next_pass == draws.MAX_GAP - 2000 * 500
+    # the clipped first gap puts the first pass at slot MAX_GAP, the first
+    # slot of the second row of MAX_GAP slots
+    rows = TrialDraws(11)
+    with np.errstate(all="raise"):
+        assert [rows.passes(5e-324, draws.MAX_GAP) for _ in range(2)] == [[], [0]]
 
 
 def test_passes_are_independent_bernoulli_per_slot():
