@@ -106,48 +106,39 @@ class RestrictedCandidates:
     def argmax(self, scores: Sequence[float] | np.ndarray) -> EliminationResult:
         """The best candidate, its value and the score cells read. An array
         of scores whose largest magnitude times their count is finite
-        bounds every total, so it is taken as it is (see `_array_argmax`);
-        any other input is checked by `_checked_scores`."""
+        bounds every total, so it is taken as it is: group e's arms are
+        row e of a (groups, num_decoys + 1) view, whose first maxima
+        (argmax's, the smallest decoy) and totals, summed in group order
+        as Python floats, are the list scan's. Any other input, and an
+        array without decoys, is checked by `_checked_scores` and scanned
+        as a list. Both scans feed one decision."""
         num_decoys = self.num_decoys
         size = self.num_groups * (num_decoys + 1)
-        if (type(scores) is np.ndarray and len(scores) == size
-                and math.isfinite(float(np.abs(scores).max()) * size)):
-            return self._array_argmax(scores)
-        scores = _checked_scores(scores, size)
         opt_total = 0.0
         sub_total = 0.0
-        sub_arms = []
-        for off in range(0, size, num_decoys + 1):
-            opt_total += scores[off]
-            if num_decoys:
-                # max and index both take the first maximum: smallest decoy
-                decoys = scores[off + 1:off + 1 + num_decoys]
-                best = max(decoys)
-                sub_total += best
-                sub_arms.append(decoys.index(best) + 1)
+        if (num_decoys and type(scores) is np.ndarray and len(scores) == size
+                and math.isfinite(float(np.abs(scores).max()) * size)):
+            rows = scores.reshape(self.num_groups, num_decoys + 1)
+            arms = rows[:, 1:].argmax(axis=1) + 1
+            for x in rows[:, 0].tolist():
+                opt_total += x
+            for x in scores[arms + self._offset_array].tolist():
+                sub_total += x
+            sub_arms = arms.tolist()
+        else:
+            scores = _checked_scores(scores, size)
+            sub_arms = []
+            for off in range(0, size, num_decoys + 1):
+                opt_total += scores[off]
+                if num_decoys:
+                    # max and index both take the first maximum: smallest decoy
+                    decoys = scores[off + 1:off + 1 + num_decoys]
+                    best = max(decoys)
+                    sub_total += best
+                    sub_arms.append(decoys.index(best) + 1)
         if not num_decoys or sub_total <= opt_total:
             return EliminationResult(self.optimal, opt_total, size)
         return EliminationResult(tuple(sub_arms), sub_total, size)
-
-    def _array_argmax(self, scores: np.ndarray) -> EliminationResult:
-        """`argmax` on an array: group e's arms are row e of a
-        (groups, num_decoys + 1) view, whose first maxima (argmax's, the
-        smallest decoy) and totals, summed in group order as Python
-        floats, are the list scan's."""
-        num_decoys = self.num_decoys
-        rows = scores.reshape(self.num_groups, num_decoys + 1)
-        opt_total = 0.0
-        for x in rows[:, 0].tolist():
-            opt_total += x
-        if not num_decoys:
-            return EliminationResult(self.optimal, opt_total, scores.size)
-        arms = rows[:, 1:].argmax(axis=1) + 1
-        sub_total = 0.0
-        for x in scores[arms + self._offset_array].tolist():
-            sub_total += x
-        if sub_total <= opt_total:
-            return EliminationResult(self.optimal, opt_total, scores.size)
-        return EliminationResult(tuple(arms.tolist()), sub_total, scores.size)
 
     @functools.cached_property
     def _offset_array(self) -> np.ndarray:

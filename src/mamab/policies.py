@@ -27,14 +27,21 @@ run reproducible from (config, seed) alone.
 Stats come in two layouts, chosen once per trial by ``wide_rows``. A
 trial whose rows draw at least WIDE_ROW scores on average (A_loc under
 ucb_baseline, epsilon * A_loc under eps_mats) is wide: its counts and
-means are int64 and float64 numpy arrays, a score row is one array
-expression over them (or over the gate passes), and the update follows
-the rule below. Other trials keep Python lists, whose per-slot loops
-cost less on short rows. Both give the same bits: IEEE sums, products,
-quotients and square roots round alike element by element. WIDE_ROW is the
-crossover that ``tools/bench_pair.py --row-costs`` measured for one
-whole round (score row, argmax hand-off, update): 77-102 scores a row on
-a 2-vCPU machine, rounded up to 128.
+means are numpy arrays, and a score row is one array expression over
+them (or over the gate passes). Other trials keep Python lists, whose
+per-slot loops cost less on short rows. Both give the same bits: IEEE
+sums, products, quotients and square roots round alike element by
+element. WIDE_ROW is the crossover that ``tools/bench_pair.py
+--row-costs`` measured for one whole round (score row, argmax hand-off,
+update): 77-102 scores a row on a 2-vCPU machine, rounded up to 128.
+
+The layouts differ only where their arithmetic does: a score row
+branches on the layout for its row expression alone, and the update
+folds each reward slot by slot through ``LocalArmStats.views``, the
+lists or memoryviews of the arrays, which read and write Python ints
+and floats with the arrays' own bits. A wide round that touches at
+least SCATTER_GROUPS groups scatters instead: the crossover that
+``--row-costs`` measured for the update alone (``update_crossover``).
 
 A wide trial reads each posterior scale sqrt(c / (n + 1)) by pull count
 from a table of the trial's stats, built for its c with the formula's
@@ -43,10 +50,7 @@ formula's bits. The table grows when a count first passes its end,
 which numpy's bounds-checked index reports, so no row scans the counts.
 Narrow rows keep the formula: a table there made a 36-slot row cost the
 same at epsilon 1 and 0.5, and acceptance criterion 6 needs the cost to
-rise with epsilon. A wide update folds each reward with Python scalars
-when a round touches fewer than SCATTER_GROUPS groups, and scatters
-otherwise; SCATTER_GROUPS is the crossover that ``--row-costs`` measured
-for the update alone (``update_crossover``).
+rise with epsilon.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ POLICY_KINDS = ("eps_mats", "ucb_baseline", "random")
 # scores a row from which a trial's stats are numpy arrays (module docstring)
 WIDE_ROW = 128
 # groups a round from which a wide update scatters (module docstring)
-SCATTER_GROUPS = 16
+SCATTER_GROUPS = 32
 
 
 @dataclass(frozen=True)
@@ -98,37 +102,51 @@ class PolicyConfig:
                     f"ucb_range must be positive and finite, got {self.ucb_range}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalArmStats:
-    """Pull counts and empirical means per flat local arm. This is the
-    entire mutable state a policy carries between rounds. They are lists,
-    or in the wide layout an int64 and a float64 numpy array."""
+    """Pull counts and empirical means per flat local arm, the entire
+    mutable state a policy carries between rounds: lists, or in the wide
+    layout 1-D arrays of an integer dtype and of native float64. The
+    fields are frozen, so they are checked and viewed once, and `views`
+    holds the lists themselves or memoryviews of the arrays, through
+    which one per-slot loop updates both layouts (module docstring)."""
 
     n: list[int] | np.ndarray
     mu_hat: list[float] | np.ndarray
     wide: bool = field(init=False, repr=False, compare=False)
+    views: tuple = field(init=False, repr=False, compare=False)
     # wide layout: (c, sqrt(c / (k + 1)) for k = 0 .. len - 1), see `scales`
     scale_table: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.wide = type(self.mu_hat) is np.ndarray
-        if (type(self.n) is np.ndarray) != self.wide or len(self.n) != len(self.mu_hat):
-            raise ValueError(f"pull counts {type(self.n).__name__}[{len(self.n)}] and means "
-                             f"{type(self.mu_hat).__name__}[{len(self.mu_hat)}] differ in "
-                             "layout or length")
+        n, mu = self.n, self.mu_hat
+        wide = type(mu) is np.ndarray
+        if (type(n) is np.ndarray) != wide or len(n) != len(mu):
+            raise ValueError(f"pull counts {type(n).__name__}[{len(n)}] and means "
+                             f"{type(mu).__name__}[{len(mu)}] differ in layout or length")
         # a fractional count would be sampled at its own scale, and the
-        # wide layout indexes its scale table by count
-        if self.wide:
-            if not np.issubdtype(self.n.dtype, np.integer):
-                raise ValueError(f"pull counts must be integers, got dtype {self.n.dtype}")
+        # wide layout indexes its scale table by count; a memoryview
+        # indexes only 1-D arrays in native byte order, and other means
+        # would truncate or re-round the fold
+        if wide:
+            if n.ndim != 1 or mu.ndim != 1:
+                raise ValueError(f"pull counts and means must be 1-D, got shapes "
+                                 f"{n.shape} and {mu.shape}")
+            if not np.issubdtype(n.dtype, np.integer) or not n.dtype.isnative:
+                raise ValueError(f"pull counts must be integers in native byte order, "
+                                 f"got dtype {n.dtype}")
+            if mu.dtype != np.float64:
+                raise ValueError(f"means must be native float64, got dtype {mu.dtype}")
         else:
-            bad = next((k for k in self.n if type(k) is not int), None)
+            bad = next((k for k in n if type(k) is not int), None)
             if bad is not None:
                 raise ValueError(f"pull counts must be integers, got {bad!r}")
         # a count of -1 would make the divisor n + 1 zero
-        low = int(self.n.min(initial=0)) if self.wide else min(self.n, default=0)
+        low = int(n.min(initial=0)) if wide else min(n, default=0)
         if low < 0:
             raise ValueError(f"pull counts must be >= 0, got {low}")
+        object.__setattr__(self, "wide", wide)
+        object.__setattr__(self, "views", (memoryview(n), memoryview(mu)) if wide else (n, mu))
 
     @classmethod
     def fresh(cls, num_local_arms: int, wide: bool = False) -> "LocalArmStats":
@@ -152,7 +170,7 @@ class LocalArmStats:
                 pass
         k = np.arange(2 * (int(counts.max(initial=0)) + 1), dtype=np.int64)
         table = np.sqrt(c / (k + 1))
-        self.scale_table = (c, table)
+        object.__setattr__(self, "scale_table", (c, table))
         return table[counts]
 
 
@@ -181,38 +199,27 @@ def sample_scores(stats: LocalArmStats, cfg: PolicyConfig, rng: TrialDraws,
                   tally: Optional[WorkTally] = None) -> list[float] | np.ndarray:
     """Score vector for eps_mats: a copy of mu_hat in which each slot
     whose gate passes holds mu_hat[j] + sqrt(c / (n[j] + 1)) * z, with z
-    the pass's normal. At epsilon = 1 every slot passes. Wide stats give
-    an array of the same bits (a wide `rng` gives the normals and passes
-    as arrays)."""
+    the pass's normal. At epsilon = 1 every slot passes and the row is
+    built whole. Wide stats give an array of the same bits (a wide `rng`
+    gives the normals and passes as arrays)."""
     mu = stats.mu_hat
     n = stats.n
     c = cfg.c
-    if stats.wide:
-        if cfg.epsilon == 1.0:
-            scores = mu + stats.scales(c, n) * rng.scores.take(len(mu))
-            draws = len(mu)
-        else:
-            scores = mu.copy()
-            passes = rng.passes(cfg.epsilon, len(mu))
-            scores[passes] = (mu[passes] + stats.scales(c, n[passes])
-                              * rng.scores.take(len(passes)))
-            draws = len(passes)
-        if tally is not None:
-            tally.gaussian_draws += draws
-        return scores
-    sqrt = math.sqrt
-    if cfg.epsilon == 1.0:
-        scores = [m + sqrt(c / (nj + 1)) * x
-                  for m, nj, x in zip(mu, n, rng.scores.take(len(mu)))]
-        draws = len(mu)
-    else:
-        scores = mu[:]
-        passes = rng.passes(cfg.epsilon, len(mu))
-        for j, x in zip(passes, rng.scores.take(len(passes))):
-            scores[j] = mu[j] + sqrt(c / (n[j] + 1)) * x
-        draws = len(passes)
+    passes = rng.passes(cfg.epsilon, len(mu)) if cfg.epsilon < 1.0 else None
+    z = rng.scores.take(len(mu) if passes is None else len(passes))
     if tally is not None:
-        tally.gaussian_draws += draws
+        tally.gaussian_draws += len(z)
+    sqrt = math.sqrt
+    if passes is None:
+        if stats.wide:
+            return mu + stats.scales(c, n) * z
+        return [m + sqrt(c / (nj + 1)) * x for m, nj, x in zip(mu, n, z)]
+    scores = mu.copy()
+    if stats.wide:
+        scores[passes] = mu[passes] + stats.scales(c, n[passes]) * z
+    else:
+        for j, x in zip(passes, z):
+            scores[j] = mu[j] + sqrt(c / (n[j] + 1)) * x
     return scores
 
 
@@ -277,23 +284,18 @@ def update_stats(stats: LocalArmStats, h: Hypergraph, arms: Sequence[int],
 
 def update_stats_at(stats: LocalArmStats, flat: Sequence[int],
                     rewards: Sequence[float]) -> LocalArmStats:
-    n = stats.n
-    mu = stats.mu_hat
-    if stats.wide:
-        size = len(flat)
-        if size < SCATTER_GROUPS:
-            for j, r in zip(flat, rewards):
-                nj = n.item(j)
-                mu[j] = (nj * mu.item(j) + r) / (nj + 1)
-                n[j] = nj + 1
-            return stats
+    if stats.wide and len(flat) >= SCATTER_GROUPS:
         # a round's flat indices never repeat, so one scatter is the loop
+        n = stats.n
+        mu = stats.mu_hat
+        size = len(flat)
         j = np.fromiter(flat, np.int64, count=size)
         nj = n[j]
         n1 = nj + 1
         mu[j] = (nj * mu[j] + np.fromiter(rewards, np.float64, count=size)) / n1
         n[j] = n1
         return stats
+    n, mu = stats.views
     for j, r in zip(flat, rewards):
         nj = n[j]
         mu[j] = (nj * mu[j] + r) / (nj + 1)

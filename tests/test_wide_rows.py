@@ -10,6 +10,7 @@ CI runs this file with `python -W error::RuntimeWarning`: numpy warns,
 rather than fails, on overflow and invalid values in array expressions.
 """
 
+import dataclasses
 import math
 import random
 
@@ -172,19 +173,34 @@ def test_scale_table_regrows_with_the_formula_bits(epsilon):
     assert len(sizes) >= 6 and {c for c, _ in sizes} == {2.5, 0.7}
 
 
+def as_layout(stats, layout):
+    """The wide stats' counts as int64, int32 or uint64, or both fields
+    as every other entry of an array twice as long (not contiguous)."""
+    if layout == "strided":
+        n = np.zeros(2 * len(stats), np.int64)
+        mu = np.zeros(2 * len(stats))
+        n[::2], mu[::2] = stats.n, stats.mu_hat
+        return LocalArmStats(n=n[::2], mu_hat=mu[::2])
+    return LocalArmStats(n=stats.n.astype(layout), mu_hat=stats.mu_hat)
+
+
 def test_wide_update_is_the_narrow_update():
-    narrow = random_stats(random.Random(5), 40, False)
-    wide = random_stats(random.Random(5), 40, True)
-    rng = random.Random(6)
-    for _ in range(200):
-        # below SCATTER_GROUPS the wide update folds slot by slot, from it
-        # the update scatters
-        flat = rng.sample(range(40), rng.choice([1, 9, policies.SCATTER_GROUPS, 30]))
-        rewards = [rng.choice([0.0, 1.0, rng.uniform(-2.0, 9.0)]) for _ in flat]
-        policies.update_stats_at(narrow, flat, rewards)
-        policies.update_stats_at(wide, flat, rewards)
-    assert wide.n.tolist() == narrow.n
-    assert [x.hex() for x in wide.mu_hat.tolist()] == [x.hex() for x in narrow.mu_hat]
+    # the per-slot loop reads and writes through memoryviews, so every
+    # integer count dtype and a strided array must keep the list's bits
+    for layout in ("int64", "int32", "uint64", "strided"):
+        narrow = random_stats(random.Random(5), 40, False)
+        wide = as_layout(random_stats(random.Random(5), 40, True), layout)
+        rng = random.Random(6)
+        for _ in range(200):
+            # below SCATTER_GROUPS the wide update folds slot by slot, from
+            # it the update scatters
+            flat = rng.sample(range(40), rng.choice([1, 9, policies.SCATTER_GROUPS, 30]))
+            rewards = [rng.choice([0.0, 1.0, rng.uniform(-2.0, 9.0)]) for _ in flat]
+            policies.update_stats_at(narrow, flat, rewards)
+            policies.update_stats_at(wide, flat, rewards)
+        assert wide.n.dtype == (np.int64 if layout == "strided" else layout)
+        assert wide.n.tolist() == narrow.n
+        assert [x.hex() for x in wide.mu_hat.tolist()] == [x.hex() for x in narrow.mu_hat]
 
 
 @pytest.mark.parametrize("n", [
@@ -202,6 +218,31 @@ def test_stats_refuse_counts_that_are_not_integers(n):
     mu_hat = np.zeros(len(n)) if type(n) is np.ndarray else [0.0] * len(n)
     with pytest.raises(ValueError, match="pull counts must be integers"):
         LocalArmStats(n=n, mu_hat=mu_hat)
+
+
+@pytest.mark.parametrize("n, mu_hat, message", [
+    # integer means truncated every fold: rewards 1.0 then 0.0 left 0, not 0.5
+    (np.zeros(4, np.int64), np.zeros(4, np.int64), "means must be native float64, got dtype int64"),
+    # float32 means re-rounded every fold
+    (np.zeros(4, np.int64), np.zeros(4, np.float32), "got dtype float32"),
+    # a memoryview cannot index a big-endian array
+    (np.zeros(4, np.int64), np.zeros(4, ">f8"), "got dtype >f8"),
+    (np.zeros(4, ">i8"), np.zeros(4), "pull counts must be integers in native byte order, got dtype >i8"),
+    (np.zeros((2, 2), np.int64), np.zeros((2, 2)), r"must be 1-D, got shapes \(2, 2\)"),
+])
+def test_wide_stats_refuse_what_the_fold_cannot_keep(n, mu_hat, message):
+    with pytest.raises(ValueError, match=message):
+        LocalArmStats(n=n, mu_hat=mu_hat)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("name", ["n", "mu_hat", "wide"])
+def test_stats_fields_cannot_be_rebound(name, wide):
+    # a rebound field would escape the count checks and the update's views:
+    # `stats.n = [1.5, -1, 0]` would make the next score row divide by zero
+    stats = LocalArmStats.fresh(3, wide)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(stats, name, [1.5, -1, 0])
 
 
 def test_wide_stats_refuse_negative_counts():
